@@ -45,9 +45,10 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    parallel_scope_stats, parallel_scope_try, ExecPolicy, MorselQueue, SharedBuffer,
-    DEFAULT_MORSEL_TUPLES,
+    expect_infallible, parallel_scope_stats, parallel_scope_try, ExecPolicy, MorselQueue,
+    SharedBuffer, DEFAULT_MORSEL_TUPLES,
 };
+use rsv_hashtab::GroupAggTable;
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
@@ -118,6 +119,14 @@ impl Engine {
 
     fn policy_with(&self, run: &RunContext) -> ExecPolicy {
         self.policy().with_run(run.clone())
+    }
+
+    fn sort_config(&self) -> SortConfig {
+        SortConfig {
+            radix_bits: 8,
+            threads: self.threads,
+            morsel_tuples: self.morsel_tuples,
+        }
     }
 
     /// Selection scan: all tuples with `lower ≤ key ≤ upper` (paper §4,
@@ -348,11 +357,7 @@ impl Engine {
 
     /// Stable LSB radixsort by key (paper §8).
     pub fn sort(&self, rel: &mut Relation) {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: self.threads,
-            morsel_tuples: self.morsel_tuples,
-        };
+        let cfg = self.sort_config();
         let mut keys = std::mem::take(&mut rel.keys);
         let mut pays = std::mem::take(&mut rel.payloads);
         dispatch!(self.backend, s => {
@@ -368,11 +373,7 @@ impl Engine {
     /// On error the relation keeps its tuples (possibly partially
     /// reordered — rerun to completion to sort them).
     pub fn try_sort(&self, rel: &mut Relation, run: &RunContext) -> Result<(), EngineError> {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: self.threads,
-            morsel_tuples: self.morsel_tuples,
-        };
+        let cfg = self.sort_config();
         let mut keys = std::mem::take(&mut rel.keys);
         let mut pays = std::mem::take(&mut rel.payloads);
         let r = dispatch!(self.backend, s => {
@@ -436,52 +437,46 @@ impl Engine {
     /// Group-by aggregation: per distinct key, `COUNT(*)` and
     /// `SUM(payload)` (vectorized hash aggregation, paper §5's second
     /// hash-table use case). Returns `(key, count, sum)` rows sorted by
-    /// key — workers aggregate claimed morsels into private tables whose
-    /// merge is commutative, so the result is schedule-independent.
+    /// key; every `u32` is a legal key. See
+    /// [`Engine::try_group_by_sum`] for the algorithm.
     ///
     /// `expected_groups` sizes the aggregation tables; it may be any upper
     /// bound (e.g. `rel.len()`).
     pub fn group_by_sum(&self, rel: &Relation, expected_groups: usize) -> Vec<(u32, u32, u64)> {
-        let q = MorselQueue::new(rel.len(), &self.policy(), 16);
-        let (tables, _) = parallel_scope_stats(self.threads, |ctx| {
-            let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
-            for mo in ctx.morsels(&q) {
-                ctx.phase("aggregate", || {
-                    let r = mo.range.clone();
-                    dispatch!(self.backend, s => {
-                        table.update_vector(s, &rel.keys[r.clone()], &rel.payloads[r])
-                    });
-                });
-            }
-            table
-        });
-        let mut merged: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
-        for table in &tables {
-            for (k, c, sum) in table.iter() {
-                let e = merged.entry(k).or_default();
-                e.0 += c;
-                e.1 += sum;
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(k, (c, sum))| (k, c, sum))
-            .collect()
+        expect_infallible(self.try_group_by_sum(rel, expected_groups, &RunContext::new()))
     }
 
-    /// Fallible [`Engine::group_by_sum`] under a [`RunContext`]:
-    /// cancellation is observed at morsel-claim boundaries and a worker
-    /// panic (e.g. an aggregation-table overflow) surfaces as
-    /// [`EngineError::WorkerPanicked`] after the sibling workers drain.
+    /// Fallible [`Engine::group_by_sum`] under a [`RunContext`].
+    ///
+    /// Workers aggregate claimed morsels into private tables, which are
+    /// then merged in parallel with the paper's §8 radixsort:
+    ///
+    /// 1. **drain** — each worker writes its table's groups into its
+    ///    prefix-sum slot of four columns (key, row id, count, sum);
+    /// 2. **sort** — the `(key, row id)` pairs are LSB-radixsorted;
+    /// 3. **fold** — runs of equal keys (at most one entry per worker)
+    ///    are summed by gathering counts and sums through the row ids.
+    ///
+    /// The merge is commutative, so the result is schedule-independent.
+    /// The per-worker tables at their initial size (16 B per bucket) and
+    /// the drain columns (20 B per worker group) are gated by the memory
+    /// budget, as is the sort's scratch; table growth inside the kernel
+    /// (when `expected_groups` is too small) is not. Cancellation is
+    /// observed at morsel-claim boundaries, and a worker panic surfaces
+    /// as [`EngineError::WorkerPanicked`] after the sibling workers drain.
     pub fn try_group_by_sum(
         &self,
         rel: &Relation,
         expected_groups: usize,
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
+        let capacity = expected_groups.max(1);
+        let table_bytes = self.threads as u64 * GroupAggTable::initial_bytes(capacity, 0.5);
+        run.reserve(table_bytes)?;
+        let release_tables = || run.budget.release(table_bytes);
         let q = MorselQueue::new(rel.len(), &self.policy_with(run), 16);
         let scope = parallel_scope_try(self.threads, |ctx| {
-            let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
+            let mut table = GroupAggTable::new(capacity, 0.5);
             for mo in ctx.morsels(&q) {
                 ctx.phase("aggregate", || {
                     let r = mo.range.clone();
@@ -492,23 +487,89 @@ impl Engine {
             }
             table
         });
-        let (tables, _) = match scope {
-            Ok(v) => v,
-            Err(wp) => return Err(wp.into_engine_error()),
-        };
-        run.check_cancelled()?;
-        let mut merged: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
-        for table in &tables {
-            for (k, c, sum) in table.iter() {
-                let e = merged.entry(k).or_default();
-                e.0 += c;
-                e.1 += sum;
+        let tables = match scope {
+            Ok((tables, _)) => tables,
+            Err(wp) => {
+                release_tables();
+                return Err(wp.into_engine_error());
             }
+        };
+        if let Err(e) = run.check_cancelled() {
+            release_tables();
+            return Err(e);
         }
-        Ok(merged
-            .into_iter()
-            .map(|(k, (c, sum))| (k, c, sum))
-            .collect())
+
+        // Drain: worker `i` writes table `i` into its prefix-sum slot.
+        let mut offsets = vec![0usize];
+        for t in &tables {
+            offsets.push(offsets[offsets.len() - 1] + t.groups());
+        }
+        let total = offsets[tables.len()];
+        // Row ids are u32, like every position column in the engine.
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} groups overflow u32 row ids"
+        );
+        let drain_bytes = 20 * total as u64;
+        if let Err(e) = run.reserve(drain_bytes) {
+            release_tables();
+            return Err(e);
+        }
+        let keys = SharedBuffer::<u32>::zeroed(total);
+        let rows = SharedBuffer::<u32>::zeroed(total);
+        let counts = SharedBuffer::<u32>::zeroed(total);
+        let sums = SharedBuffer::<u64>::zeroed(total);
+        let drained = parallel_scope_try(tables.len(), |ctx| {
+            let id = ctx.thread_id;
+            let r = offsets[id]..offsets[id + 1];
+            // SAFETY: worker `id` writes only its own row range `r`, and
+            // the columns are read only after the scope joins.
+            let (k, w, c, s) = unsafe {
+                (
+                    keys.view_mut(),
+                    rows.view_mut(),
+                    counts.view_mut(),
+                    sums.view_mut(),
+                )
+            };
+            ctx.phase("drain", || {
+                tables[id].write_columns(
+                    r.start as u32,
+                    &mut k[r.clone()],
+                    &mut w[r.clone()],
+                    &mut c[r.clone()],
+                    &mut s[r],
+                )
+            });
+        });
+        drop(tables);
+        release_tables();
+        let (mut keys, mut rows) = (keys.into_vec(), rows.into_vec());
+        let (counts, sums) = (counts.into_vec(), sums.into_vec());
+
+        // Sort the (key, row id) pairs, then fold runs of equal keys.
+        let cfg = self.sort_config();
+        let sorted = drained.map_err(|wp| wp.into_engine_error()).and_then(|_| {
+            dispatch!(self.backend, s => {
+                rsv_sort::radixsort_pairs_try(s, true, &mut keys, &mut rows, &cfg, run)
+            })
+        });
+        let merged = sorted.map(|_| {
+            let mut out = Vec::with_capacity(total);
+            let mut at = 0;
+            for group in keys.chunk_by(|a, b| a == b) {
+                let (mut c, mut sum) = (0u32, 0u64);
+                for &r in &rows[at..at + group.len()] {
+                    c += counts[r as usize];
+                    sum += sums[r as usize];
+                }
+                at += group.len();
+                out.push((group[0], c, sum));
+            }
+            out
+        });
+        run.budget.release(drain_bytes);
+        merged
     }
 }
 

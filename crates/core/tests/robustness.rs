@@ -18,7 +18,7 @@
 //! fault-injection counterpart (`fault_recovery.rs`) needs
 //! `--features failpoints`.
 
-use rsv_core::hashtab::{FallbackTable, JoinSink, LinearTable, MulHash};
+use rsv_core::hashtab::{FallbackTable, GroupAggTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_core::{CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext};
@@ -182,6 +182,14 @@ fn budget_exceeded_is_typed_and_releases_everything() {
             "hash-partition",
             Box::new(|run| engine.try_hash_partition(&outer, 64, run).map(|_| ())),
         ),
+        (
+            "group-by-sum",
+            Box::new(|run| {
+                engine
+                    .try_group_by_sum(&outer, outer.len(), run)
+                    .map(|_| ())
+            }),
+        ),
     ];
 
     for (name, op) in &ops {
@@ -206,6 +214,37 @@ fn budget_exceeded_is_typed_and_releases_everything() {
         .try_select(&outer, 0, u32::MAX, &run)
         .expect("generous budget");
     assert_eq!(selected.len(), outer.len());
+    assert_eq!(run.budget.used(), 0, "success path leaked reservation");
+}
+
+/// The group-by reserves in three stages: the worker tables, the drain
+/// columns (20 B per worker group) and, once the tables are freed, the
+/// sort's scratch (8 B per entry). A budget that runs out at any stage
+/// fails typed and leaves nothing reserved; one that fits them all
+/// answers exactly.
+#[test]
+fn group_by_budget_fails_cleanly_at_every_stage() {
+    let engine = Engine::new().with_threads(2);
+    let n = 16_000u64;
+    // Distinct keys: every row is its own group in exactly one table.
+    let r = Relation::with_rid_payloads((0..n as u32).collect());
+    let expected = engine.group_by_sum(&r, 1);
+    let tables = 2 * GroupAggTable::initial_bytes(1, 0.5);
+    let drain = 20 * n;
+    let sort = 8 * n;
+    for limit in [tables - 1, tables + drain - 1, drain + sort - 1] {
+        let run = RunContext::new().with_memory_limit(limit);
+        let result = engine.try_group_by_sum(&r, 1, &run);
+        assert!(
+            matches!(result, Err(EngineError::BudgetExceeded { .. })),
+            "limit {limit}: expected BudgetExceeded, got {result:?}"
+        );
+        assert_eq!(run.budget.used(), 0, "limit {limit}: leaked reservation");
+    }
+    let run = RunContext::new().with_memory_limit(drain + sort);
+    let rows = engine.try_group_by_sum(&r, 1, &run).expect("budget fits");
+    assert_eq!(rows, expected);
+    assert_eq!(rows.len(), n as usize);
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 

@@ -8,6 +8,12 @@
 //! lane; lanes that would read-modify-write the same bucket in one vector
 //! are *deferred* to the next iteration (the same first-occurrence rule the
 //! paper's unstable hash shuffling uses), so no increment is ever lost.
+//!
+//! Every `u32` is a legal group key. The table's empty-bucket marker
+//! [`EMPTY_KEY`] never enters the bucket array: rows with that key are
+//! folded into a scalar side aggregate (one `cmpeq` per vector on the
+//! vectorized path), which [`GroupAggTable::iter`] and
+//! [`GroupAggTable::write_columns`] report like any other group.
 
 use rsv_simd::{MaskLike, Simd};
 
@@ -51,7 +57,11 @@ pub struct GroupAggTable {
     sum_lo: Vec<u32>,
     sum_hi: Vec<u32>,
     hash: MulHash,
+    /// Groups stored in the bucket array (excludes `sentinel`).
     groups: usize,
+    /// `(count, sum)` of the [`EMPTY_KEY`] group, kept outside the
+    /// buckets because that key marks a bucket as empty.
+    sentinel: Option<(u32, u64)>,
 }
 
 impl GroupAggTable {
@@ -66,12 +76,19 @@ impl GroupAggTable {
             sum_hi: vec![0; buckets],
             hash: MulHash::nth(0),
             groups: 0,
+            sentinel: None,
         }
+    }
+
+    /// Bytes [`GroupAggTable::new`] allocates for `capacity` groups at
+    /// `load_factor` (16 per bucket), for budgeting before construction.
+    pub fn initial_bytes(capacity: usize, load_factor: f64) -> u64 {
+        16 * bucket_count(capacity, load_factor) as u64
     }
 
     /// Number of distinct groups seen so far.
     pub fn groups(&self) -> usize {
-        self.groups
+        self.groups + usize::from(self.sentinel.is_some())
     }
 
     /// Number of buckets.
@@ -96,12 +113,13 @@ impl GroupAggTable {
     ///
     /// # Errors
     /// [`AggTableFull`] if `key` is a new group and `groups + 1` would
-    /// reach the bucket count. Existing groups always update.
+    /// reach the bucket count. Existing groups always update, and so does
+    /// the [`EMPTY_KEY`] group, which lives outside the buckets.
     pub fn try_update(&mut self, key: u32, value: u32) -> Result<(), AggTableFull> {
-        assert_ne!(
-            key, EMPTY_KEY,
-            "key {key:#x} is the reserved empty sentinel"
-        );
+        if key == EMPTY_KEY {
+            self.update_sentinel(value);
+            return Ok(());
+        }
         let t = self.keys.len();
         let mut h = self.hash.bucket(key, t);
         loop {
@@ -129,7 +147,14 @@ impl GroupAggTable {
         Ok(())
     }
 
-    /// Double the bucket array and rehash every group.
+    fn update_sentinel(&mut self, value: u32) {
+        let (c, sum) = self.sentinel.get_or_insert((0, 0));
+        *c += 1;
+        *sum += u64::from(value);
+    }
+
+    /// Double the bucket array and rehash every group (the sentinel
+    /// group stays in its side aggregate).
     fn grow(&mut self) {
         let new_buckets = (self.keys.len() * 2).max(4);
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_buckets]);
@@ -181,7 +206,6 @@ impl GroupAggTable {
         let w = S::LANES;
         let n = keys.len();
         let mut t = self.keys.len();
-        debug_assert!(!keys.contains(&EMPTY_KEY), "empty-sentinel key in input");
         let f = s.splat(self.hash.factor());
         let mut tn = s.splat(t as u32);
         let empty = s.splat(EMPTY_KEY);
@@ -208,6 +232,19 @@ impl GroupAggTable {
             k = s.selective_load(k, m, &keys[i..]);
             v = s.selective_load(v, m, &values[i..]);
             i += m.count();
+            // Sentinel-keyed lanes go to the side aggregate and are
+            // refilled; the other lanes wait, untouched, for the next
+            // iteration, so the table steps below never see the sentinel.
+            let sent = s.cmpeq(k, empty);
+            if sent.any() {
+                let mut va = [0u32; MAX_LANES];
+                s.store(v, &mut va[..w]);
+                for lane in sent.iter_set() {
+                    self.update_sentinel(va[lane]);
+                }
+                m = sent;
+                continue;
+            }
             let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
             let over = s.cmpge(h, tn);
             h = s.blend(over, s.sub(h, tn), h);
@@ -263,7 +300,8 @@ impl GroupAggTable {
         }
     }
 
-    /// Iterate over `(group key, count, sum)` results.
+    /// Iterate over `(group key, count, sum)` results: the bucket array's
+    /// groups in bucket order, then the [`EMPTY_KEY`] group if present.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         self.keys
             .iter()
@@ -276,6 +314,33 @@ impl GroupAggTable {
                     u64::from(self.sum_lo[h]) | (u64::from(self.sum_hi[h]) << 32),
                 )
             })
+            .chain(self.sentinel.map(|(c, sum)| (EMPTY_KEY, c, sum)))
+    }
+
+    /// Drain the groups into column slices of exactly
+    /// [`GroupAggTable::groups`] entries, in [`GroupAggTable::iter`]
+    /// order: entry `i` gets its key, `first_row + i` as its row id, its
+    /// count and its sum. Parallel merges give every worker's table a
+    /// disjoint row range of shared columns.
+    pub fn write_columns(
+        &self,
+        first_row: u32,
+        keys: &mut [u32],
+        rows: &mut [u32],
+        counts: &mut [u32],
+        sums: &mut [u64],
+    ) {
+        let n = self.groups();
+        assert!(
+            keys.len() == n && rows.len() == n && counts.len() == n && sums.len() == n,
+            "drain columns must hold exactly {n} groups"
+        );
+        for (i, (k, c, sum)) in self.iter().enumerate() {
+            keys[i] = k;
+            rows[i] = first_row + i as u32;
+            counts[i] = c;
+            sums[i] = sum;
+        }
     }
 }
 
@@ -412,6 +477,54 @@ mod tests {
         let mut t = GroupAggTable::new(2, 0.5);
         t.update_scalar(&keys, &values);
         assert_eq!(collect(&t), reference(&keys, &values));
+    }
+
+    /// Regression: a row keyed [`EMPTY_KEY`] was dropped by the vector
+    /// kernel (it "claimed" an empty bucket with the empty key) and
+    /// tripped an assert on the scalar path. 4096 rows, keys `i % 100`,
+    /// row 0 keyed `u32::MAX`: 101 groups holding all 4096 rows.
+    #[test]
+    fn sentinel_key_is_a_group_on_every_path() {
+        let keys: Vec<u32> = (0..4096u32)
+            .map(|i| if i == 0 { u32::MAX } else { i % 100 })
+            .collect();
+        let values: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(7919)).collect();
+        let expected = reference(&keys, &values);
+        assert_eq!(expected.len(), 101);
+        let check = |t: &GroupAggTable, path: &str| {
+            assert_eq!(collect(t), expected, "{path}");
+            assert_eq!(t.groups(), 101, "{path}");
+            let total: u32 = t.iter().map(|(_, c, _)| c).sum();
+            assert_eq!(total, 4096, "{path}");
+        };
+
+        let mut t = GroupAggTable::new(128, 0.5);
+        t.update_scalar(&keys, &values);
+        check(&t, "scalar");
+        let mut t = GroupAggTable::new(128, 0.5);
+        t.update_vector(Portable::<8>::new(), &keys, &values);
+        check(&t, "portable-8");
+        for b in rsv_simd::Backend::all_available() {
+            let mut t = GroupAggTable::new(128, 0.5);
+            rsv_simd::dispatch!(b, s => { t.update_vector(s, &keys, &values) });
+            check(&t, b.name());
+        }
+        // The sentinel in the scalar tail (n not a multiple of W) and in a
+        // table that must grow: the side aggregate survives rehashing.
+        let mut tail_keys = keys.clone();
+        tail_keys.push(u32::MAX);
+        let mut tail_values = values.clone();
+        tail_values.push(5);
+        let mut t = GroupAggTable::new(2, 0.5);
+        t.update_vector(Portable::<16>::new(), &tail_keys, &tail_values);
+        assert_eq!(collect(&t), reference(&tail_keys, &tail_values));
+
+        let n = t.groups();
+        let (mut k, mut r, mut c, mut s) = (vec![0; n], vec![0; n], vec![0; n], vec![0u64; n]);
+        t.write_columns(10, &mut k, &mut r, &mut c, &mut s);
+        let drained: Vec<(u32, u32, u64)> = (0..n).map(|i| (k[i], c[i], s[i])).collect();
+        assert_eq!(drained, t.iter().collect::<Vec<_>>());
+        assert_eq!(r, (10..10 + n as u32).collect::<Vec<_>>());
     }
 
     #[cfg(target_arch = "x86_64")]

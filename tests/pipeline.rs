@@ -70,6 +70,17 @@ fn all_join_variants_produce_identical_results() {
     }
 }
 
+/// `(key, COUNT(*), SUM(payload))` in key order, via a `BTreeMap`.
+fn reference_group_by(rel: &Relation) -> Vec<(u32, u32, u64)> {
+    let mut groups: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
+    for (k, v) in rel.iter() {
+        let e = groups.entry(k).or_default();
+        e.0 += 1;
+        e.1 += u64::from(v);
+    }
+    groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect()
+}
+
 #[test]
 fn group_by_sum_matches_scalar_reference() {
     let mut rng = data::rng(404);
@@ -79,15 +90,7 @@ fn group_by_sum_matches_scalar_reference() {
         .collect();
     let pays = data::uniform_u32(50_000, &mut rng);
     let rel = Relation::new(keys, pays);
-
-    let mut expected: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
-    for (k, v) in rel.iter() {
-        let e = expected.entry(k).or_default();
-        e.0 += 1;
-        e.1 += u64::from(v);
-    }
-    let expected: Vec<(u32, u32, u64)> =
-        expected.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+    let expected = reference_group_by(&rel);
 
     for threads in [1usize, 3] {
         let engine = Engine::new().with_threads(threads);
@@ -97,6 +100,46 @@ fn group_by_sum_matches_scalar_reference() {
             rows.windows(2).all(|w| w[0].0 < w[1].0),
             "not sorted by key"
         );
+    }
+}
+
+/// The whole `u32` key domain through the group-by: keys `0`,
+/// `u32::MAX − 1` and `u32::MAX` (the hash tables' empty marker), the
+/// latter both mid-vector and in the scalar tail, repeating in every
+/// 64-row morsel so every worker table holds every group and the merge
+/// must add one entry per worker. Every backend × threads {1, 2, 8},
+/// with and without table growth.
+#[test]
+fn group_by_sum_covers_full_key_domain() {
+    let mut domain: Vec<u32> = (0..29).collect();
+    domain.insert(7, u32::MAX);
+    domain.extend([u32::MAX - 1, 1 << 31]);
+    let n = 64 * 40 + 5;
+    let mut keys: Vec<u32> = (0..n).map(|i| domain[i % domain.len()]).collect();
+    keys[n - 1] = u32::MAX;
+    let pays: Vec<u32> = (0..n as u32)
+        .map(|i| i.wrapping_mul(2_654_435_761))
+        .collect();
+    let rel = Relation::new(keys, pays);
+    let expected = reference_group_by(&rel);
+    assert_eq!(expected.len(), 32);
+    assert_eq!(expected[31].0, u32::MAX);
+
+    for b in rethinking_simd::simd::Backend::all_available() {
+        for threads in [1usize, 2, 8] {
+            for expected_groups in [8, n] {
+                let engine = Engine::with_backend(b)
+                    .with_threads(threads)
+                    .with_morsel_tuples(64);
+                let rows = engine.group_by_sum(&rel, expected_groups);
+                assert_eq!(
+                    rows,
+                    expected,
+                    "{} threads={threads} expected_groups={expected_groups}",
+                    b.name()
+                );
+            }
+        }
     }
 }
 
