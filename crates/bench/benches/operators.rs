@@ -212,9 +212,10 @@ fn bench_sort_and_join(t: &mut Table) {
     let mut rng = rsv_data::rng(2003);
     let w = rsv_data::join_workload(N / 8, N, 1.0, 1.0, &mut rng);
     let secs = bench(REPS, || {
-        let r = dispatch!(backend, s => {
-            rsv_join::join_max_partition(s, true, &w.inner, &w.outer, 1)
-        });
+        let policy = rsv_exec::ExecPolicy::new(1);
+        let r = rsv_exec::expect_infallible(dispatch!(backend, s => {
+            rsv_join::join_max_partition(s, true, &w.inner, &w.outer, &policy)
+        }));
         std::hint::black_box(r.matches());
     });
     t.row(vec![

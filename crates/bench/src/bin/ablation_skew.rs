@@ -10,11 +10,11 @@
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin ablation_skew [--scale X]`
 
-use rsv_bench::{banner, bench, mtps, record, Measurement, Scale, Table};
-use rsv_exec::{ExecPolicy, DEFAULT_MORSEL_TUPLES};
+use rsv_bench::{banner, bench, mtps, record, worker_breakdown, Measurement, Scale, Table};
+use rsv_exec::{expect_infallible, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rsv_hashtab::{JoinSink, LinearTable};
 use rsv_partition::histogram::histogram_scalar;
-use rsv_partition::parallel::partition_pass_policy;
+use rsv_partition::parallel::partition_pass_parallel;
 use rsv_partition::shuffle::shuffle_vector_buffered;
 use rsv_partition::RadixFn;
 use rsv_simd::dispatch;
@@ -130,15 +130,14 @@ fn main() {
             ] {
                 let mut ok = vec![0u32; n];
                 let mut op = vec![0u32; n];
-                let mut stats = None;
-                let secs = bench(2, || {
-                    let (_, st) = dispatch!(backend, s => {
-                        partition_pass_policy(
+                let mut pass = || {
+                    expect_infallible(dispatch!(backend, s => {
+                        partition_pass_parallel(
                             s, true, f, keys, &pays, &mut ok, &mut op, &policy,
                         )
-                    });
-                    stats = Some(st);
-                });
+                    }));
+                };
+                let secs = bench(2, &mut pass);
                 let m = mtps(n, secs);
                 record(&Measurement {
                     experiment: "ablation-sched",
@@ -155,7 +154,7 @@ fn main() {
                 if sched == "morsel" {
                     reports.push((
                         format!("{name} t={threads} ({sched})"),
-                        stats.map(|s| s.to_string()).unwrap_or_default(),
+                        worker_breakdown(threads, pass),
                     ));
                 }
                 per_schedule.push(m);

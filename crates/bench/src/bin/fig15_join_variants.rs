@@ -6,6 +6,7 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig15_join_variants [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{join_max_partition, join_min_partition, join_no_partition, JoinVariant};
 use rsv_simd::dispatch;
 
@@ -43,19 +44,20 @@ fn main() {
             let label = variant.label();
             let mut timings = None;
             let total = bench(2, || {
-                let r = dispatch!(backend, s => {
+                let policy = ExecPolicy::new(threads);
+                let r = expect_infallible(dispatch!(backend, s => {
                     match variant {
                         JoinVariant::NoPartition => {
-                            join_no_partition(s, vectorized, &w.inner, &w.outer, threads)
+                            join_no_partition(s, vectorized, &w.inner, &w.outer, &policy)
                         }
                         JoinVariant::MinPartition => {
-                            join_min_partition(s, vectorized, &w.inner, &w.outer, threads)
+                            join_min_partition(s, vectorized, &w.inner, &w.outer, &policy)
                         }
                         JoinVariant::MaxPartition => {
-                            join_max_partition(s, vectorized, &w.inner, &w.outer, threads)
+                            join_max_partition(s, vectorized, &w.inner, &w.outer, &policy)
                         }
                     }
-                });
+                }));
                 assert_eq!(r.matches(), w.expected_matches, "{label} wrong result");
                 timings = Some(r.timings);
             });

@@ -8,16 +8,16 @@
 //! caveat are both recorded.
 //!
 //! Besides wall time, each thread count prints the per-worker scheduler
-//! breakdown (morsels claimed, morsels stolen, tuples, per-phase time) of
-//! the final vectorized sort and join runs.
+//! breakdown (morsels claimed, morsels stolen) of one extra, untimed
+//! metered run of the vectorized sort and join.
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin fig16_scalability [--scale X]`
 
-use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_exec::ExecPolicy;
-use rsv_join::{join_max_partition, join_max_partition_policy, DEFAULT_PART_TUPLES};
+use rsv_bench::{banner, bench, record, worker_breakdown, Measurement, Scale, Table};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_join::join_max_partition;
 use rsv_simd::dispatch;
-use rsv_sort::{lsb_radixsort_scalar, lsb_radixsort_vector_stats, SortConfig};
+use rsv_sort::{lsb_radixsort_scalar, lsb_radixsort_vector, SortConfig};
 
 fn main() {
     banner(
@@ -66,31 +66,25 @@ fn main() {
             let mut p = pays.clone();
             lsb_radixsort_scalar(&mut k, &mut p, &cfg);
         });
-        let mut sort_stats = None;
-        let sv = bench(2, || {
+        let sort_vector = || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            let st = dispatch!(backend, s => {
-                lsb_radixsort_vector_stats(s, &mut k, &mut p, &cfg)
-            });
-            sort_stats = Some(st);
-        });
+            dispatch!(backend, s => { lsb_radixsort_vector(s, &mut k, &mut p, &cfg) });
+        };
+        let sv = bench(2, sort_vector);
         let js = bench(2, || {
-            let r = dispatch!(backend, s => {
-                join_max_partition(s, false, &w.inner, &w.outer, threads)
-            });
+            let r = expect_infallible(dispatch!(backend, s => {
+                join_max_partition(s, false, &w.inner, &w.outer, &policy)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
         });
-        let mut join_stats = None;
-        let jv = bench(2, || {
-            let (r, st) = dispatch!(backend, s => {
-                join_max_partition_policy(
-                    s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
-                )
-            });
+        let join_vector = || {
+            let r = expect_infallible(dispatch!(backend, s => {
+                join_max_partition(s, true, &w.inner, &w.outer, &policy)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
-            join_stats = Some(st);
-        });
+        };
+        let jv = bench(2, join_vector);
         for (series, v) in [
             ("sort-scalar", ss),
             ("sort-vector", sv),
@@ -116,8 +110,8 @@ fn main() {
         ]);
         worker_reports.push((
             threads,
-            sort_stats.map(|s| s.to_string()).unwrap_or_default(),
-            join_stats.map(|s| s.to_string()).unwrap_or_default(),
+            worker_breakdown(threads, sort_vector),
+            worker_breakdown(threads, join_vector),
         ));
     }
     println!("wall time (seconds, lower is better):\n");

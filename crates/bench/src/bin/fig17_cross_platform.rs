@@ -6,6 +6,7 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig17_cross_platform [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::join_max_partition;
 use rsv_simd::{dispatch, Backend};
 use rsv_sort::{lsb_radixsort_vector, SortConfig};
@@ -50,7 +51,10 @@ fn main() {
             dispatch!(b, s => { lsb_radixsort_vector(s, &mut k, &mut p, &cfg) });
         });
         let join_s = bench(2, || {
-            let r = dispatch!(b, s => { join_max_partition(s, true, &w.inner, &w.outer, 1) });
+            let policy = ExecPolicy::new(1);
+            let r = expect_infallible(dispatch!(b, s => {
+                join_max_partition(s, true, &w.inner, &w.outer, &policy)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
         });
         record(&Measurement {

@@ -110,6 +110,29 @@ fn metrics_path() -> Option<String> {
     std::env::var("RSV_METRICS").ok()
 }
 
+/// Run `f` once under an `rsv_metrics` session and render the per-worker
+/// scheduler breakdown of its `threads` workers: morsels claimed and, of
+/// those, stolen. Call it after the timed repetitions so those stay
+/// unmetered.
+pub fn worker_breakdown(threads: usize, f: impl FnOnce()) -> String {
+    use rsv_metrics::{Counters, Metric};
+    use std::fmt::Write as _;
+    let ((), sink) = rsv_metrics::collect(f);
+    // Workers that recorded nothing may have no slot in the sink.
+    let idle = Counters::new();
+    let mut out = String::new();
+    for id in 0..threads.max(sink.workers.len()) {
+        let w = sink.workers.get(id).unwrap_or(&idle);
+        let _ = writeln!(
+            out,
+            "  worker {id}: {:>5} morsels ({:>3} stolen)",
+            w.get(Metric::MorselsClaimed),
+            w.get(Metric::MorselsStolen)
+        );
+    }
+    out
+}
+
 /// Million tuples per second. A zero-duration measurement yields `NaN`
 /// (not `inf`), which [`record`] serializes as JSON `null` instead of an
 /// unparseable `inf` row.

@@ -7,7 +7,7 @@
 //! runs in morsel order (identical to the sequential scan's output), and
 //! the histogram merges per-worker counts by commutative addition.
 
-use rsv_exec::{parallel_scope_stats, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{Backend, Simd};
@@ -20,9 +20,11 @@ use crate::{
 ///
 /// `out_keys` / `out_pays` must have the column length; qualifiers end up
 /// at their front (input order preserved) and the qualifier count is
-/// returned alongside per-worker scheduler stats. Output matches the
-/// sequential [`select_fused`](crate::select_fused) byte for byte at any
-/// thread count.
+/// returned. Output matches the sequential
+/// [`select_fused`](crate::select_fused) byte for byte at any thread
+/// count. A worker panic surfaces as [`EngineError::WorkerPanicked`] and
+/// a cancelled run as [`EngineError::Cancelled`]; the output vectors then
+/// keep their length but hold unspecified contents.
 #[allow(clippy::too_many_arguments)]
 pub fn select_fused_parallel(
     backend: Backend,
@@ -33,7 +35,7 @@ pub fn select_fused_parallel(
     out_keys: &mut Vec<u32>,
     out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> (usize, SchedulerStats) {
+) -> Result<usize, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
     assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
@@ -47,13 +49,13 @@ pub fn select_fused_parallel(
     let counts = SharedBuffer::from_vec(vec![0usize; m]);
     let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
     let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let (_, stats) = parallel_scope_stats(t, |ctx| {
+    let scope = parallel_scope(t, |ctx| {
         // SAFETY: each morsel writes only the output region at its own
         // input offsets plus its own count slot, and every morsel id is
         // claimed exactly once; reads happen after the scope joins.
         let (ok, op, cs) = unsafe { (ok_buf.view_mut(), op_buf.view_mut(), counts.view_mut()) };
         for mo in ctx.morsels(&q) {
-            ctx.phase("fused-scan", || {
+            ctx.phase(|| {
                 let r = mo.range.clone();
                 let c = select_fused_range(
                     backend,
@@ -70,12 +72,23 @@ pub fn select_fused_parallel(
         }
     });
 
-    // Compact the per-morsel runs front-to-back. Runs only move left
-    // (dest ≤ src), so processing in morsel order never clobbers a run
-    // that has not been moved yet.
     let counts = counts.into_vec();
     let mut ok = ok_buf.into_vec();
     let mut op = op_buf.into_vec();
+    let err = match scope {
+        Err(wp) => Some(wp.into_engine_error()),
+        Ok(_) if policy.run.is_cancelled() => Some(EngineError::Cancelled),
+        Ok(_) => None,
+    };
+    if let Some(e) = err {
+        *out_keys = ok;
+        *out_pays = op;
+        return Err(e);
+    }
+
+    // Compact the per-morsel runs front-to-back. Runs only move left
+    // (dest ≤ src), so processing in morsel order never clobbers a run
+    // that has not been moved yet.
     let mut dest = 0usize;
     for (id, &c) in counts.iter().enumerate() {
         let src = q.range_of(id).start;
@@ -87,37 +100,41 @@ pub fn select_fused_parallel(
     }
     *out_keys = ok;
     *out_pays = op;
-    (dest, stats)
+    Ok(dest)
 }
 
 /// Parallel fused compressed histogram: per-worker replicated partial
 /// counts over block-aligned morsels, merged by addition (commutative, so
-/// the result is independent of the steal schedule).
+/// the result is independent of the steal schedule). A worker panic
+/// surfaces as [`EngineError::WorkerPanicked`] and a cancelled run as
+/// [`EngineError::Cancelled`].
 pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
     backend: Backend,
     col: &CompressedColumn,
     f: F,
     policy: &ExecPolicy,
-) -> (Vec<u32>, SchedulerStats) {
+) -> Result<Vec<u32>, EngineError> {
     let q = MorselQueue::new(col.len(), policy, BLOCK_LEN);
-    let (hists, stats) = parallel_scope_stats(policy.threads, |ctx| {
+    let hists = parallel_scope(policy.threads, |ctx| {
         rsv_simd::dispatch!(backend, s => {
             let mut partial = vec![0u32; f.fanout() * S::LANES];
             for mo in ctx.morsels(&q) {
-                ctx.phase("fused-histogram", || {
+                ctx.phase(|| {
                     histogram_fused_range_into(s, col, f, mo.range.clone(), &mut partial);
                 });
             }
             reduce_partial(s, &partial, f.fanout())
         })
-    });
+    })
+    .map_err(|wp| wp.into_engine_error())?;
+    policy.run.check_cancelled()?;
     let mut hist = vec![0u32; f.fanout()];
     for h in hists {
         for (a, b) in hist.iter_mut().zip(h) {
             *a += b;
         }
     }
-    (hist, stats)
+    Ok(hist)
 }
 
 #[cfg(test)]
@@ -152,13 +169,13 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut gk = vec![0u32; n];
                 let mut gp = vec![0u32; n];
-                let (gn, stats) = select_fused_parallel(
+                let gn = select_fused_parallel(
                     backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy,
-                );
+                )
+                .unwrap();
                 assert_eq!(gn, en, "t={threads} morsel={morsel}");
                 assert_eq!(&gk[..gn], &ek[..en]);
                 assert_eq!(&gp[..gn], &ep[..en]);
-                assert_eq!(stats.total_tuples(), n as u64);
             }
         }
     }
@@ -175,8 +192,40 @@ mod tests {
         let col = CompressedColumn::pack(backend, &keys);
         for threads in [1usize, 2, 8] {
             let policy = ExecPolicy::new(threads).with_morsel_tuples(3 * BLOCK_LEN);
-            let (got, _) = histogram_fused_parallel(backend, &col, f, &policy);
+            let got = histogram_fused_parallel(backend, &col, f, &policy).unwrap();
             assert_eq!(got, expected, "t={threads}");
         }
+    }
+
+    #[test]
+    fn cancelled_run_fails_instead_of_returning_partial_results() {
+        let n = 5 * BLOCK_LEN + 3;
+        let keys: Vec<u32> = (0..n as u32).collect();
+        let backend = Backend::best();
+        let col = CompressedColumn::pack(backend, &keys);
+        let run = rsv_exec::RunContext::new();
+        run.cancel_token().cancel();
+        let policy = ExecPolicy::new(2).with_run(run);
+        let pred = ScanPredicate {
+            lower: 0,
+            upper: u32::MAX,
+        };
+        let (mut ok, mut op) = (vec![0u32; n], vec![0u32; n]);
+        let err = select_fused_parallel(
+            backend,
+            ScanVariant::VectorSelStoreIndirect,
+            &col,
+            &col,
+            pred,
+            &mut ok,
+            &mut op,
+            &policy,
+        )
+        .expect_err("cancelled scan must fail");
+        assert!(matches!(err, EngineError::Cancelled), "{err}");
+        assert_eq!((ok.len(), op.len()), (n, n), "outputs keep their length");
+        let err = histogram_fused_parallel(backend, &col, RadixFn::new(0, 4), &policy)
+            .expect_err("cancelled histogram must fail");
+        assert!(matches!(err, EngineError::Cancelled), "{err}");
     }
 }

@@ -45,8 +45,7 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_stats, parallel_scope_try, ExecPolicy, MorselQueue,
-    SharedBuffer, DEFAULT_MORSEL_TUPLES,
+    expect_infallible, parallel_scope, ExecPolicy, MorselQueue, SharedBuffer, DEFAULT_MORSEL_TUPLES,
 };
 use rsv_hashtab::GroupAggTable;
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
@@ -113,12 +112,10 @@ impl Engine {
         self.backend
     }
 
-    fn policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads).with_morsel_tuples(self.morsel_tuples)
-    }
-
     fn policy_with(&self, run: &RunContext) -> ExecPolicy {
-        self.policy().with_run(run.clone())
+        ExecPolicy::new(self.threads)
+            .with_morsel_tuples(self.morsel_tuples)
+            .with_run(run.clone())
     }
 
     fn sort_config(&self) -> SortConfig {
@@ -132,22 +129,7 @@ impl Engine {
     /// Selection scan: all tuples with `lower ≤ key ≤ upper` (paper §4,
     /// vectorized Algorithm 3), morsel-parallel.
     pub fn select(&self, rel: &Relation, lower: u32, upper: u32) -> Relation {
-        let pred = ScanPredicate { lower, upper };
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let (n, _) = rsv_scan::scan_parallel(
-            self.backend,
-            ScanVariant::VectorSelStoreIndirect,
-            &rel.keys,
-            &rel.payloads,
-            pred,
-            &mut out_keys,
-            &mut out_pays,
-            &self.policy(),
-        );
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Relation::new(out_keys, out_pays)
+        expect_infallible(self.try_select(rel, lower, upper, &RunContext::new()))
     }
 
     /// Fallible [`Engine::select`] under a [`RunContext`]: the output
@@ -168,7 +150,7 @@ impl Engine {
         run.reserve(out_bytes)?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
-        let r = rsv_scan::scan_parallel_try(
+        let r = rsv_scan::scan_parallel(
             self.backend,
             ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
@@ -179,7 +161,7 @@ impl Engine {
             &self.policy_with(run),
         );
         run.budget.release(out_bytes);
-        let (n, _) = r?;
+        let n = r?;
         out_keys.truncate(n);
         out_pays.truncate(n);
         Ok(Relation::new(out_keys, out_pays))
@@ -202,10 +184,26 @@ impl Engine {
     /// block-aligned morsels. Output is byte-identical to
     /// `self.select(&self.decompress(rel), lower, upper)`.
     pub fn select_compressed(&self, rel: &CompressedRelation, lower: u32, upper: u32) -> Relation {
+        expect_infallible(self.try_select_compressed(rel, lower, upper, &RunContext::new()))
+    }
+
+    /// Fallible [`Engine::select_compressed`] under a [`RunContext`]: the
+    /// output buffers are gated by the run's memory budget, cancellation
+    /// is observed at morsel-claim boundaries, and a worker panic surfaces
+    /// as [`EngineError::WorkerPanicked`].
+    pub fn try_select_compressed(
+        &self,
+        rel: &CompressedRelation,
+        lower: u32,
+        upper: u32,
+        run: &RunContext,
+    ) -> Result<Relation, EngineError> {
         let pred = ScanPredicate { lower, upper };
+        let out_bytes = 2 * (rel.len() as u64) * std::mem::size_of::<u32>() as u64;
+        run.reserve(out_bytes)?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
-        let (n, _) = rsv_column::select_fused_parallel(
+        let r = rsv_column::select_fused_parallel(
             self.backend,
             ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
@@ -213,11 +211,13 @@ impl Engine {
             pred,
             &mut out_keys,
             &mut out_pays,
-            &self.policy(),
+            &self.policy_with(run),
         );
+        run.budget.release(out_bytes);
+        let n = r?;
         out_keys.truncate(n);
         out_pays.truncate(n);
-        Relation::new(out_keys, out_pays)
+        Ok(Relation::new(out_keys, out_pays))
     }
 
     /// Hash join `inner ⋈ outer` on the key columns using the paper's
@@ -234,22 +234,7 @@ impl Engine {
         outer: &Relation,
         variant: JoinVariant,
     ) -> JoinResult {
-        let policy = self.policy();
-        dispatch!(self.backend, s => {
-            match variant {
-                JoinVariant::NoPartition => {
-                    rsv_join::join_no_partition_policy(s, true, inner, outer, &policy).0
-                }
-                JoinVariant::MinPartition => {
-                    rsv_join::join_min_partition_policy(s, true, inner, outer, &policy).0
-                }
-                JoinVariant::MaxPartition => {
-                    rsv_join::join_max_partition_policy(
-                        s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
-                    ).0
-                }
-            }
-        })
+        expect_infallible(self.try_hash_join_variant(inner, outer, variant, &RunContext::new()))
     }
 
     /// Fallible [`Engine::hash_join`] (max-partition variant) under a
@@ -278,17 +263,13 @@ impl Engine {
         dispatch!(self.backend, s => {
             match variant {
                 JoinVariant::NoPartition => {
-                    rsv_join::join_no_partition_policy_try(s, true, inner, outer, &policy)
-                        .map(|r| r.0)
+                    rsv_join::join_no_partition(s, true, inner, outer, &policy)
                 }
                 JoinVariant::MinPartition => {
-                    rsv_join::join_min_partition_policy_try(s, true, inner, outer, &policy)
-                        .map(|r| r.0)
+                    rsv_join::join_min_partition(s, true, inner, outer, &policy)
                 }
                 JoinVariant::MaxPartition => {
-                    rsv_join::join_max_partition_policy_try(
-                        s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
-                    ).map(|r| r.0)
+                    rsv_join::join_max_partition(s, true, inner, outer, &policy)
                 }
             }
         })
@@ -298,23 +279,39 @@ impl Engine {
     /// key is (probably) present in `filter_keys`. Probing is
     /// morsel-parallel; qualifiers keep input order.
     pub fn bloom_semijoin(&self, rel: &Relation, filter_keys: &[u32]) -> Relation {
+        expect_infallible(self.try_bloom_semijoin(rel, filter_keys, &RunContext::new()))
+    }
+
+    /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
+    /// three input-sized scratch columns (positions, qualifier keys and
+    /// qualifier positions) are gated by the memory budget, cancellation
+    /// is observed at morsel-claim boundaries, and a worker panic surfaces
+    /// as [`EngineError::WorkerPanicked`].
+    pub fn try_bloom_semijoin(
+        &self,
+        rel: &Relation,
+        filter_keys: &[u32],
+        run: &RunContext,
+    ) -> Result<Relation, EngineError> {
+        let n = rel.len();
+        let scratch_bytes = 3 * (n as u64) * std::mem::size_of::<u32>() as u64;
+        run.reserve(scratch_bytes)?;
         let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
         filter.build(filter_keys);
-        let n = rel.len();
-        let q = MorselQueue::new(n, &self.policy(), 16);
+        let q = MorselQueue::new(n, &self.policy_with(run), 16);
         let m = q.morsel_count();
         let positions: Vec<u32> = (0..n as u32).collect();
         let counts = SharedBuffer::from_vec(vec![0usize; m]);
         let ok_buf = SharedBuffer::from_vec(vec![0u32; n]);
         let oi_buf = SharedBuffer::from_vec(vec![0u32; n]);
         let filter_ref = &filter;
-        parallel_scope_stats(self.threads, |ctx| {
+        let scope = parallel_scope(self.threads, |ctx| {
             // SAFETY: each morsel writes only the output region at its own
             // input offsets plus its own count slot; reads happen after
             // the scope joins.
             let (ok, oi, cs) = unsafe { (ok_buf.view_mut(), oi_buf.view_mut(), counts.view_mut()) };
             for mo in ctx.morsels(&q) {
-                ctx.phase("bloom-probe", || {
+                ctx.phase(|| {
                     let r = mo.range.clone();
                     // probe with the input *position* as the payload: the
                     // vectorized probe recirculates partially-checked
@@ -332,11 +329,19 @@ impl Engine {
                 });
             }
         });
-        // Compact the per-morsel qualifier runs in morsel order (runs only
-        // move left, so front-to-back copies never clobber a pending run).
         let counts = counts.into_vec();
         let mut idxs = oi_buf.into_vec();
         drop(ok_buf);
+        drop(positions);
+        let probed = scope
+            .map_err(|wp| wp.into_engine_error())
+            .and_then(|_| run.check_cancelled());
+        if let Err(e) = probed {
+            run.budget.release(scratch_bytes);
+            return Err(e);
+        }
+        // Compact the per-morsel qualifier runs in morsel order (runs only
+        // move left, so front-to-back copies never clobber a pending run).
         let mut dest = 0usize;
         for (id, &c) in counts.iter().enumerate() {
             let src = q.range_of(id).start;
@@ -352,19 +357,13 @@ impl Engine {
         idxs.sort_unstable();
         let out_keys: Vec<u32> = idxs.iter().map(|&i| rel.keys[i as usize]).collect();
         let out_pays: Vec<u32> = idxs.iter().map(|&i| rel.payloads[i as usize]).collect();
-        Relation::new(out_keys, out_pays)
+        run.budget.release(scratch_bytes);
+        Ok(Relation::new(out_keys, out_pays))
     }
 
     /// Stable LSB radixsort by key (paper §8).
     pub fn sort(&self, rel: &mut Relation) {
-        let cfg = self.sort_config();
-        let mut keys = std::mem::take(&mut rel.keys);
-        let mut pays = std::mem::take(&mut rel.payloads);
-        dispatch!(self.backend, s => {
-            rsv_sort::lsb_radixsort_vector(s, &mut keys, &mut pays, &cfg)
-        });
-        rel.keys = keys;
-        rel.payloads = pays;
+        expect_infallible(self.try_sort(rel, &RunContext::new()))
     }
 
     /// Fallible [`Engine::sort`] under a [`RunContext`]: the radixsort's
@@ -377,11 +376,11 @@ impl Engine {
         let mut keys = std::mem::take(&mut rel.keys);
         let mut pays = std::mem::take(&mut rel.payloads);
         let r = dispatch!(self.backend, s => {
-            rsv_sort::radixsort_pairs_try(s, true, &mut keys, &mut pays, &cfg, run)
+            rsv_sort::radixsort_pairs(s, true, &mut keys, &mut pays, &cfg, run)
         });
         rel.keys = keys;
         rel.payloads = pays;
-        r.map(|_| ())
+        r
     }
 
     /// Hash-partition a relation into `fanout` parts (paper §7, buffered
@@ -392,16 +391,7 @@ impl Engine {
     /// transparently to a two-pass decomposition (the single-pass staging
     /// buffers would outgrow the cache) with byte-identical output.
     pub fn hash_partition(&self, rel: &Relation, fanout: usize) -> (Relation, Vec<u32>) {
-        let f = rsv_partition::HashFn::new(fanout);
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let pass = dispatch!(self.backend, s => {
-            rsv_partition::twopass::hash_partition_twopass(
-                s, true, f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
-                &self.policy(), MAX_DIRECT_FANOUT,
-            ).0
-        });
-        (Relation::new(out_keys, out_pays), pass.partition_starts)
+        expect_infallible(self.try_hash_partition(rel, fanout, &RunContext::new()))
     }
 
     /// Fallible [`Engine::hash_partition`] under a [`RunContext`]: the
@@ -419,13 +409,13 @@ impl Engine {
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
         let r = dispatch!(self.backend, s => {
-            rsv_partition::twopass::hash_partition_twopass_try(
+            rsv_partition::twopass::hash_partition_twopass(
                 s, true, f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
                 &self.policy_with(run), MAX_DIRECT_FANOUT,
             )
         });
         run.budget.release(out_bytes);
-        let (pass, _) = r?;
+        let pass = r?;
         Ok((Relation::new(out_keys, out_pays), pass.partition_starts))
     }
 
@@ -475,10 +465,10 @@ impl Engine {
         run.reserve(table_bytes)?;
         let release_tables = || run.budget.release(table_bytes);
         let q = MorselQueue::new(rel.len(), &self.policy_with(run), 16);
-        let scope = parallel_scope_try(self.threads, |ctx| {
+        let scope = parallel_scope(self.threads, |ctx| {
             let mut table = GroupAggTable::new(capacity, 0.5);
             for mo in ctx.morsels(&q) {
-                ctx.phase("aggregate", || {
+                ctx.phase(|| {
                     let r = mo.range.clone();
                     dispatch!(self.backend, s => {
                         table.update_vector(s, &rel.keys[r.clone()], &rel.payloads[r])
@@ -488,7 +478,7 @@ impl Engine {
             table
         });
         let tables = match scope {
-            Ok((tables, _)) => tables,
+            Ok(tables) => tables,
             Err(wp) => {
                 release_tables();
                 return Err(wp.into_engine_error());
@@ -519,7 +509,7 @@ impl Engine {
         let rows = SharedBuffer::<u32>::zeroed(total);
         let counts = SharedBuffer::<u32>::zeroed(total);
         let sums = SharedBuffer::<u64>::zeroed(total);
-        let drained = parallel_scope_try(tables.len(), |ctx| {
+        let drained = parallel_scope(tables.len(), |ctx| {
             let id = ctx.thread_id;
             let r = offsets[id]..offsets[id + 1];
             // SAFETY: worker `id` writes only its own row range `r`, and
@@ -532,7 +522,7 @@ impl Engine {
                     sums.view_mut(),
                 )
             };
-            ctx.phase("drain", || {
+            ctx.phase(|| {
                 tables[id].write_columns(
                     r.start as u32,
                     &mut k[r.clone()],
@@ -551,7 +541,7 @@ impl Engine {
         let cfg = self.sort_config();
         let sorted = drained.map_err(|wp| wp.into_engine_error()).and_then(|_| {
             dispatch!(self.backend, s => {
-                rsv_sort::radixsort_pairs_try(s, true, &mut keys, &mut rows, &cfg, run)
+                rsv_sort::radixsort_pairs(s, true, &mut keys, &mut rows, &cfg, run)
             })
         });
         let merged = sorted.map(|_| {

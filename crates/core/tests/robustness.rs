@@ -54,6 +54,7 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
     let engine = Engine::new().with_threads(4).with_morsel_tuples(256);
     let inner = rel(4_000);
     let outer = rel(16_000);
+    let packed = engine.compress(&outer);
 
     type Op<'a> = (
         &'a str,
@@ -104,6 +105,22 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
             Box::new(|run| {
                 engine
                     .try_group_by_sum(&outer, outer.len(), run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin",
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "select-compressed",
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, u32::MAX, run)
                     .map(|_| ())
             }),
         ),
@@ -137,6 +154,7 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     let engine = Engine::new().with_threads(2);
     let inner = rel(4_000);
     let outer = rel(16_000);
+    let packed = engine.compress(&outer);
 
     type Op<'a> = (
         &'a str,
@@ -187,6 +205,22 @@ fn budget_exceeded_is_typed_and_releases_everything() {
             Box::new(|run| {
                 engine
                     .try_group_by_sum(&outer, outer.len(), run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin",
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "select-compressed",
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, u32::MAX, run)
                     .map(|_| ())
             }),
         ),

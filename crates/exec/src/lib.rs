@@ -8,8 +8,9 @@
 //! into SIMD-aligned morsels that workers claim from per-worker atomic
 //! cursors, stealing when their own span runs dry. It also provides the
 //! 64-byte aligned buffers the buffered-shuffling and streaming-store code
-//! paths need, and per-worker scheduler instrumentation
-//! ([`SchedulerStats`]).
+//! paths need. Per-worker instrumentation (morsels claimed and stolen,
+//! phase latencies) goes to `rsv-metrics` through [`Morsels`] and
+//! [`ParallelContext::phase`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -30,10 +31,7 @@ mod timing;
 pub use aligned::AlignedVec;
 pub use error::{expect_infallible, panic_message, EngineError};
 pub use morsel::{ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
-pub use parallel::{
-    chunk_ranges, parallel_scope, parallel_scope_stats, parallel_scope_try, Morsels,
-    ParallelContext, SchedulerStats, WorkerPanic, WorkerStats,
-};
+pub use parallel::{chunk_ranges, parallel_scope, Morsels, ParallelContext, WorkerPanic};
 pub use platform::{platform_report, PlatformReport};
 pub use run::{CancelToken, MemoryBudget, RunContext};
 pub use shared::{SharedBuffer, SlotMap};

@@ -5,11 +5,10 @@
 //! `catch_unwind`, a panicking worker trips a shared abort flag (so its
 //! siblings drain at the next morsel-claim boundary) and defects from the
 //! phase barrier (so siblings blocked on it are released instead of
-//! deadlocking). [`parallel_scope_try`] surfaces the first panic as a
-//! [`WorkerPanic`]; the infallible [`parallel_scope_stats`] delegates to it
-//! and re-raises the original payload.
+//! deadlocking). [`parallel_scope`] surfaces the first panic as a
+//! [`WorkerPanic`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,96 +48,7 @@ pub fn chunk_ranges(n: usize, t: usize, align: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// What one worker did during a [`parallel_scope_stats`] region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Morsels this worker claimed (own span and stolen).
-    pub morsels: u64,
-    /// Morsels claimed from *another* worker's span.
-    pub steals: u64,
-    /// Tuples covered by the claimed morsels.
-    pub tuples: u64,
-    /// Wall-clock nanoseconds per named phase, in first-use order
-    /// (repeated phases — e.g. one histogram phase per radix pass —
-    /// accumulate into one entry).
-    pub phase_ns: Vec<(&'static str, u64)>,
-}
-
-impl WorkerStats {
-    fn record_claim(&mut self, m: &Morsel) {
-        self.morsels += 1;
-        self.steals += u64::from(m.stolen);
-        self.tuples += m.range.len() as u64;
-    }
-
-    fn record_phase(&mut self, name: &'static str, ns: u64) {
-        if let Some(e) = self.phase_ns.iter_mut().find(|e| e.0 == name) {
-            e.1 += ns;
-        } else {
-            self.phase_ns.push((name, ns));
-        }
-    }
-}
-
-/// Per-worker scheduler instrumentation for one parallel region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// One entry per worker, in thread-id order.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl SchedulerStats {
-    /// Total morsels claimed across workers.
-    pub fn total_morsels(&self) -> u64 {
-        self.workers.iter().map(|w| w.morsels).sum()
-    }
-
-    /// Total steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total tuples claimed across workers.
-    pub fn total_tuples(&self) -> u64 {
-        self.workers.iter().map(|w| w.tuples).sum()
-    }
-
-    /// Fold another region's stats into this one, worker by worker (for
-    /// operators that run several parallel regions back to back).
-    pub fn merge(&mut self, other: &SchedulerStats) {
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerStats::default());
-        }
-        for (into, from) in self.workers.iter_mut().zip(&other.workers) {
-            into.morsels += from.morsels;
-            into.steals += from.steals;
-            into.tuples += from.tuples;
-            for &(name, ns) in &from.phase_ns {
-                into.record_phase(name, ns);
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (id, w) in self.workers.iter().enumerate() {
-            write!(
-                f,
-                "  worker {id}: {:>5} morsels ({:>3} stolen) {:>10} tuples",
-                w.morsels, w.steals, w.tuples
-            )?;
-            for (name, ns) in &w.phase_ns {
-                write!(f, "  {name} {:.2}ms", *ns as f64 / 1e6)?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// A worker panic captured by [`parallel_scope_try`]. Siblings of the
+/// A worker panic captured by [`parallel_scope`]. Siblings of the
 /// panicking worker drained cleanly before this was returned.
 pub struct WorkerPanic {
     /// Thread id of the panicking worker.
@@ -151,8 +61,8 @@ pub struct WorkerPanic {
 }
 
 impl WorkerPanic {
-    /// Convert into the workspace error, stringifying the payload (the
-    /// operator `*_try` functions' standard mapping).
+    /// Convert into the workspace error, stringifying the payload (every
+    /// operator's standard mapping).
     pub fn into_engine_error(self) -> crate::EngineError {
         crate::EngineError::WorkerPanicked {
             payload: crate::error::panic_message(self.payload.as_ref()),
@@ -258,7 +168,6 @@ pub struct ParallelContext<'a> {
     /// Total number of workers.
     pub threads: usize,
     shared: &'a ScopeShared,
-    stats: RefCell<WorkerStats>,
     last_morsel: Cell<Option<usize>>,
 }
 
@@ -271,7 +180,8 @@ impl ParallelContext<'_> {
     }
 
     /// Iterate over this worker's share of `queue`, claiming morsels
-    /// (own span first, then stealing) and recording scheduler stats.
+    /// (own span first, then stealing) and counting claims and steals
+    /// in `rsv-metrics`.
     pub fn morsels<'c, 'q>(&'c self, queue: &'q MorselQueue) -> Morsels<'c, 'q>
     where
         'q: 'c,
@@ -279,14 +189,16 @@ impl ParallelContext<'_> {
         Morsels { ctx: self, queue }
     }
 
-    /// Run `f` as a named phase, accumulating its wall-clock time into
-    /// this worker's stats.
-    pub fn phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
+    /// Run `f` as one phase, recording its wall-clock time in this
+    /// worker's `rsv-metrics` phase-latency histogram. The clock is read
+    /// only while metering is enabled.
+    pub fn phase<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !rsv_metrics::enabled() {
+            return f();
+        }
         let t = Instant::now();
         let r = f();
-        let ns = t.elapsed().as_nanos() as u64;
-        rsv_metrics::record_phase_ns(ns);
-        self.stats.borrow_mut().record_phase(name, ns);
+        rsv_metrics::record_phase_ns(t.elapsed().as_nanos() as u64);
         r
     }
 }
@@ -309,7 +221,6 @@ impl Iterator for Morsels<'_, '_> {
         let m = self.queue.claim(self.ctx.thread_id)?;
         rsv_metrics::count(rsv_metrics::Metric::MorselsClaimed, 1);
         rsv_metrics::count(rsv_metrics::Metric::MorselsStolen, u64::from(m.stolen));
-        self.ctx.stats.borrow_mut().record_claim(&m);
         self.ctx.last_morsel.set(Some(m.id));
         Some(m)
     }
@@ -320,39 +231,14 @@ impl Iterator for Morsels<'_, '_> {
 ///
 /// Workers run on `t - 1` spawned threads plus the calling thread, so
 /// `parallel_scope(1, f)` has no spawn overhead.
-pub fn parallel_scope<R, F>(t: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&ParallelContext<'_>) -> R + Sync,
-{
-    parallel_scope_stats(t, f).0
-}
-
-/// [`parallel_scope`], additionally returning per-worker scheduler stats
-/// (morsels claimed, steals, tuples, per-phase times).
 ///
-/// A worker panic is re-raised on the calling thread with its original
-/// payload — after every sibling has drained cleanly (no results are
-/// silently discarded, no thread is left stranded on a barrier).
-pub fn parallel_scope_stats<R, F>(t: usize, f: F) -> (Vec<R>, SchedulerStats)
-where
-    R: Send,
-    F: Fn(&ParallelContext<'_>) -> R + Sync,
-{
-    match parallel_scope_try(t, f) {
-        Ok(out) => out,
-        Err(wp) => std::panic::resume_unwind(wp.payload),
-    }
-}
-
-/// [`parallel_scope_stats`] with panic isolation surfaced as a value: if
-/// any worker panics, the first panic is returned as [`WorkerPanic`]
+/// If any worker panics, the first panic is returned as [`WorkerPanic`]
 /// (worker id, last claimed morsel, original payload) instead of
 /// unwinding. The panicking worker trips a shared abort flag — siblings
 /// stop at their next morsel-claim boundary — and defects from the phase
 /// barrier, so the scope always joins; no lock the workers share through
 /// the scope is left poisoned.
-pub fn parallel_scope_try<R, F>(t: usize, f: F) -> Result<(Vec<R>, SchedulerStats), WorkerPanic>
+pub fn parallel_scope<R, F>(t: usize, f: F) -> Result<Vec<R>, WorkerPanic>
 where
     R: Send,
     F: Fn(&ParallelContext<'_>) -> R + Sync,
@@ -365,7 +251,7 @@ where
     };
     // Metering follows the call tree: spawned workers inherit the calling
     // thread's flag and flush their counters into the live session (by
-    // thread id, like the stats below) before they exit the scope.
+    // thread id) before they exit the scope.
     let metering = rsv_metrics::enabled();
     let record_panic =
         |worker: usize, morsel: Option<usize>, payload: Box<dyn std::any::Any + Send>| {
@@ -382,7 +268,7 @@ where
                 });
             }
         };
-    let run = |thread_id: usize| -> Option<(R, WorkerStats)> {
+    let run = |thread_id: usize| -> Option<R> {
         if thread_id != 0 {
             rsv_metrics::set_thread_metering(metering);
         }
@@ -390,20 +276,19 @@ where
             thread_id,
             threads: t,
             shared: &shared,
-            stats: RefCell::new(WorkerStats::default()),
             last_morsel: Cell::new(None),
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
         rsv_metrics::flush_worker(thread_id);
         match result {
-            Ok(r) => Some((r, ctx.stats.into_inner())),
+            Ok(r) => Some(r),
             Err(payload) => {
                 record_panic(thread_id, ctx.last_morsel.get(), payload);
                 None
             }
         }
     };
-    let per_worker: Vec<Option<(R, WorkerStats)>> = if t == 1 {
+    let per_worker: Vec<Option<R>> = if t == 1 {
         vec![run(0)]
     } else {
         std::thread::scope(|scope| {
@@ -432,16 +317,14 @@ where
         return Err(wp);
     }
     let mut results = Vec::with_capacity(t);
-    let mut stats = SchedulerStats::default();
     for slot in per_worker {
         // No recorded panic means every worker completed.
-        let Some((r, w)) = slot else {
+        let Some(r) = slot else {
             unreachable!("worker produced no result and no panic was recorded")
         };
         results.push(r);
-        stats.workers.push(w);
     }
-    Ok((results, stats))
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -532,7 +415,7 @@ mod tests {
 
     #[test]
     fn scope_runs_every_worker_and_orders_results() {
-        let ids = parallel_scope(4, |ctx| ctx.thread_id * 10);
+        let ids = parallel_scope(4, |ctx| ctx.thread_id * 10).unwrap();
         assert_eq!(ids, vec![0, 10, 20, 30]);
     }
 
@@ -544,7 +427,8 @@ mod tests {
             ctx.barrier();
             // after the barrier every thread must observe all 4 increments
             counter.load(Ordering::SeqCst)
-        });
+        })
+        .unwrap();
         assert_eq!(results, vec![4, 4, 4, 4]);
     }
 
@@ -553,68 +437,36 @@ mod tests {
         let r = parallel_scope(1, |ctx| {
             ctx.barrier(); // must not deadlock
             ctx.threads
-        });
+        })
+        .unwrap();
         assert_eq!(r, vec![1]);
     }
 
     #[test]
-    fn stats_account_for_every_tuple() {
+    fn metrics_account_for_every_morsel() {
         let n = 100_000;
         let policy = ExecPolicy::new(3).with_morsel_tuples(1024);
         let queue = MorselQueue::new(n, &policy, 16);
-        let (sums, stats) = parallel_scope_stats(3, |ctx| {
-            let mut sum = 0usize;
-            for m in ctx.morsels(&queue) {
-                sum += ctx.phase("work", || m.range.len());
-            }
-            sum
+        let (sums, sink) = rsv_metrics::collect(|| {
+            parallel_scope(3, |ctx| {
+                let mut sum = 0usize;
+                for m in ctx.morsels(&queue) {
+                    sum += ctx.phase(|| m.range.len());
+                }
+                sum
+            })
+            .unwrap()
         });
         assert_eq!(sums.iter().sum::<usize>(), n);
-        assert_eq!(stats.total_tuples(), n as u64);
-        assert_eq!(stats.total_morsels(), queue.morsel_count() as u64);
-        assert_eq!(stats.workers.len(), 3);
-        for w in &stats.workers {
-            if w.morsels > 0 {
-                assert_eq!(w.phase_ns.len(), 1);
-                assert_eq!(w.phase_ns[0].0, "work");
-            }
-        }
+        let claimed = sink.total().get(rsv_metrics::Metric::MorselsClaimed);
+        assert_eq!(claimed, queue.morsel_count() as u64);
     }
 
     #[test]
-    fn merge_accumulates_by_worker() {
-        let mut a = SchedulerStats {
-            workers: vec![WorkerStats {
-                morsels: 1,
-                steals: 0,
-                tuples: 10,
-                phase_ns: vec![("x", 5)],
-            }],
-        };
-        let b = SchedulerStats {
-            workers: vec![
-                WorkerStats {
-                    morsels: 2,
-                    steals: 1,
-                    tuples: 20,
-                    phase_ns: vec![("x", 7), ("y", 1)],
-                },
-                WorkerStats::default(),
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.workers[0].morsels, 3);
-        assert_eq!(a.workers[0].tuples, 30);
-        assert_eq!(a.workers[0].phase_ns, vec![("x", 12), ("y", 1)]);
-        assert_eq!(a.total_steals(), 1);
-    }
-
-    #[test]
-    fn try_scope_surfaces_worker_panic() {
+    fn scope_surfaces_worker_panic() {
         let policy = ExecPolicy::new(4).with_morsel_tuples(8);
         let queue = MorselQueue::new(10_000, &policy, 1);
-        let err = parallel_scope_try(4, |ctx| {
+        let err = parallel_scope(4, |ctx| {
             // Every worker claims one morsel from its own span, then meets
             // at the barrier, so worker 2 deterministically holds a morsel
             // when it panics (no worker can drain the queue early).
@@ -642,11 +494,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "boom")]
+    fn infallible_path_reraises_original_payload() {
+        crate::expect_infallible(
+            parallel_scope(2, |ctx| {
+                if ctx.thread_id == 1 {
+                    panic!("boom");
+                }
+            })
+            .map_err(WorkerPanic::into_engine_error),
+        );
+    }
+
+    #[test]
     fn panicking_worker_releases_barrier_siblings() {
         // Worker 0 dies before the barrier; the other three must pass it
         // (via defect) and finish instead of deadlocking.
         let passed = AtomicUsize::new(0);
-        let err = parallel_scope_try(4, |ctx| {
+        let err = parallel_scope(4, |ctx| {
             if ctx.thread_id == 0 {
                 panic!("pre-barrier death");
             }
@@ -665,7 +530,7 @@ mod tests {
         // other workers at a claim boundary, not strand them.
         let policy = ExecPolicy::new(2).with_morsel_tuples(4);
         let queue = MorselQueue::new(100_000, &policy, 1);
-        let err = parallel_scope_try(2, |ctx| {
+        let err = parallel_scope(2, |ctx| {
             let mut it = ctx.morsels(&queue);
             let _first = it.next();
             ctx.barrier();
@@ -680,19 +545,9 @@ mod tests {
 
     #[test]
     fn single_thread_panic_is_captured() {
-        let err = parallel_scope_try(1, |_ctx| panic!("solo")).expect_err("must panic");
+        let err = parallel_scope(1, |_ctx| panic!("solo")).expect_err("must panic");
         assert_eq!(err.worker, 0);
         let msg = err.payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "solo");
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn infallible_scope_reraises_original_payload() {
-        parallel_scope(2, |ctx| {
-            if ctx.thread_id == 1 {
-                panic!("boom");
-            }
-        });
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`RunContext`] travels inside [`ExecPolicy`](crate::ExecPolicy) into
 //! every parallel operator. It is cheap to clone (two `Arc`s) and its
-//! default is inert — uncancellable, unlimited — so the infallible legacy
-//! APIs pay nothing for it.
+//! default is inert — uncancellable, unlimited — so the infallible
+//! `Engine` methods pay nothing for it.
 //!
 //! **Cancellation latency is bounded by one morsel**: the token's flag is
 //! checked at every morsel-claim boundary
@@ -147,7 +147,7 @@ impl MemoryBudget {
 
 /// Everything a fallible operator run carries: a [`CancelToken`] and a
 /// [`MemoryBudget`]. `Default` is inert (uncancellable, unlimited), which
-/// is what the infallible legacy APIs run under.
+/// is what the infallible `Engine` methods run under.
 #[derive(Debug, Clone, Default)]
 pub struct RunContext {
     /// The query's cancellation token.

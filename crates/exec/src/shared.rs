@@ -169,7 +169,8 @@ mod tests {
             for i in (t..view.len()).step_by(4) {
                 view[i] = (i * 2) as u32;
             }
-        });
+        })
+        .unwrap();
         let v = buf.into_vec();
         assert!(v.iter().enumerate().all(|(i, &x)| x == (i * 2) as u32));
     }
@@ -185,7 +186,8 @@ mod tests {
                 // SAFETY: each morsel id is claimed exactly once.
                 unsafe { slots.put(m.id, m.range.clone().collect()) };
             }
-        });
+        })
+        .unwrap();
         let values = slots.into_values();
         let total: usize = values
             .iter()

@@ -8,6 +8,7 @@
 
 use crate::{join_max_partition, join_min_partition, join_no_partition, JoinResult};
 use rsv_data::Relation;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::dispatch;
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use std::collections::HashMap;
@@ -46,7 +47,10 @@ macro_rules! join_kernel {
             threaded: true,
             run: |b, t, i| {
                 let (inner, outer) = relations(i);
-                result_bytes(dispatch!(b, s => { $func(s, $vectorized, &inner, &outer, t) }))
+                let policy = ExecPolicy::new(t);
+                result_bytes(expect_infallible(dispatch!(b, s => {
+                    $func(s, $vectorized, &inner, &outer, &policy)
+                })))
             },
         }
     };

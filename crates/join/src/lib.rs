@@ -23,14 +23,9 @@ mod max_partition;
 mod min_partition;
 mod no_partition;
 
-pub use max_partition::{
-    join_max_partition, join_max_partition_policy, join_max_partition_policy_try,
-    join_max_partition_with_target, DEFAULT_PART_TUPLES,
-};
-pub use min_partition::{
-    join_min_partition, join_min_partition_policy, join_min_partition_policy_try,
-};
-pub use no_partition::{join_no_partition, join_no_partition_policy, join_no_partition_policy_try};
+pub use max_partition::{join_max_partition, DEFAULT_PART_TUPLES};
+pub use min_partition::join_min_partition;
+pub use no_partition::join_no_partition;
 
 use rsv_hashtab::JoinSink;
 use std::time::Duration;

@@ -6,15 +6,13 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue};
 use rsv_hashtab::{
     lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_scalar_raw, lp_probe_vertical_raw,
     JoinSink, MulHash, EMPTY_PAIR,
 };
 use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated, prefix_sum};
-use rsv_partition::parallel::partition_pass_policy_try;
+use rsv_partition::parallel::partition_pass_parallel;
 use rsv_partition::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
 use rsv_partition::HashFn;
 use rsv_simd::Simd;
@@ -32,74 +30,23 @@ const MAX_PASS_FANOUT: usize = 256;
 /// Per-worker task-phase results: a sink plus build/probe nanoseconds.
 type TaskResults = Vec<(JoinSink, u64, u64)>;
 
-/// Execute the max-partition join with the default cache target.
+/// Execute the max-partition join: partition both relations until every
+/// inner part holds at most [`DEFAULT_PART_TUPLES`] tuples, then build and
+/// probe each part as one stealable task, so a worker stuck on a
+/// skew-inflated part does not stall the join.
+///
+/// Honours `policy.run`: the partitioned copies of both relations (and the
+/// second-level scratch) are gated by the memory budget, cancellation is
+/// observed at every morsel/task claim and between second-level passes,
+/// and worker panics surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
     s: S,
     vectorized: bool,
     inner: &Relation,
     outer: &Relation,
-    threads: usize,
-) -> JoinResult {
-    join_max_partition_with_target(s, vectorized, inner, outer, threads, DEFAULT_PART_TUPLES)
-}
-
-/// As [`join_max_partition`] with an explicit inner-part tuple target.
-pub fn join_max_partition_with_target<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    threads: usize,
-    part_target: usize,
-) -> JoinResult {
-    join_max_partition_policy(
-        s,
-        vectorized,
-        inner,
-        outer,
-        &ExecPolicy::new(threads),
-        part_target,
-    )
-    .0
-}
-
-/// [`join_max_partition_with_target`] with explicit morsel scheduling,
-/// returning per-worker scheduler stats. Each cache-resident part becomes
-/// one stealable build+probe task, so a worker stuck on a skew-inflated
-/// part no longer stalls the join.
-pub fn join_max_partition_policy<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
     policy: &ExecPolicy,
-    part_target: usize,
-) -> (JoinResult, SchedulerStats) {
-    expect_infallible(join_max_partition_policy_try(
-        s,
-        vectorized,
-        inner,
-        outer,
-        policy,
-        part_target,
-    ))
-}
-
-/// Fallible [`join_max_partition_policy`]: honours `policy.run` — the
-/// partitioned copies of both relations (and the second-level scratch) are
-/// gated by the memory budget, cancellation is observed at every
-/// morsel/task claim and between second-level passes, and worker panics
-/// surface as [`EngineError::WorkerPanicked`].
-pub fn join_max_partition_policy_try<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    policy: &ExecPolicy,
-    part_target: usize,
-) -> Result<(JoinResult, SchedulerStats), EngineError> {
+) -> Result<JoinResult, EngineError> {
     let threads = policy.threads;
-    assert!(part_target >= 1);
     let table_hash = MulHash::nth(0);
     let f1_factor = MulHash::nth(2).factor();
     let f2_factor = MulHash::nth(3).factor();
@@ -115,42 +62,28 @@ pub fn join_max_partition_policy_try<S: Simd>(
 
     // ------------------------------------------------------------------
     // Phase 1: partition both relations with the same function(s) until
-    // inner parts are at most `part_target` tuples (one parallel pass,
+    // inner parts are at most `DEFAULT_PART_TUPLES` tuples (one parallel pass,
     // plus a per-part second pass where needed).
     // ------------------------------------------------------------------
     let t0 = Instant::now();
-    let fanout1 = inner.len().div_ceil(part_target).clamp(1, MAX_PASS_FANOUT);
+    let fanout1 = inner
+        .len()
+        .div_ceil(DEFAULT_PART_TUPLES)
+        .clamp(1, MAX_PASS_FANOUT);
     rsv_metrics::count(rsv_metrics::Metric::JoinBuildTuples, inner.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinProbeTuples, outer.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, fanout1 as u64);
     let f1 = HashFn::with_factor(fanout1, f1_factor);
 
-    let mut stats = SchedulerStats::default();
     let cols_bytes = 2 * ((inner.len() + outer.len()) as u64) * std::mem::size_of::<u32>() as u64;
     policy.run.reserve(cols_bytes)?;
     reserved += cols_bytes;
-    let inner_part = partition_relation(
-        s,
-        vectorized,
-        f1,
-        &inner.keys,
-        &inner.payloads,
-        policy,
-        &mut stats,
-    );
+    let inner_part = partition_relation(s, vectorized, f1, &inner.keys, &inner.payloads, policy);
     let (mut ik, mut ip, istarts, ihist) = match inner_part {
         Ok(v) => v,
         Err(e) => bail!(e),
     };
-    let outer_part = partition_relation(
-        s,
-        vectorized,
-        f1,
-        &outer.keys,
-        &outer.payloads,
-        policy,
-        &mut stats,
-    );
+    let outer_part = partition_relation(s, vectorized, f1, &outer.keys, &outer.payloads, policy);
     let (mut ok_, mut op, ostarts, ohist) = match outer_part {
         Ok(v) => v,
         Err(e) => bail!(e),
@@ -161,8 +94,13 @@ pub fn join_max_partition_policy_try<S: Simd>(
     let mut second: Vec<(usize, usize)> = Vec::new(); // (part id, sub fanout)
     for p in 0..fanout1 {
         let icount = ihist[p] as usize;
-        if icount > part_target {
-            second.push((p, icount.div_ceil(part_target).clamp(2, MAX_PASS_FANOUT)));
+        if icount > DEFAULT_PART_TUPLES {
+            second.push((
+                p,
+                icount
+                    .div_ceil(DEFAULT_PART_TUPLES)
+                    .clamp(2, MAX_PASS_FANOUT),
+            ));
         } else {
             let is = istarts[p] as usize;
             let os = ostarts[p] as usize;
@@ -223,76 +161,71 @@ pub fn join_max_partition_policy_try<S: Simd>(
     // so the reported split is the workers' accumulated time.
     // ------------------------------------------------------------------
     let t0 = Instant::now();
-    let task_q = MorselQueue::tasks_policy(parts.len(), threads, policy);
+    let task_q = MorselQueue::tasks(parts.len(), policy);
     let ik_ref = &ik;
     let ip_ref = &ip;
     let ok_ref = &ok_;
     let op_ref = &op;
     let parts_ref = &parts;
-    let task_scope: Result<(TaskResults, _), _> =
-        parallel_scope_try(threads, |ctx| {
-            let mut sink = JoinSink::with_capacity(1024);
-            let mut build_ns = 0u64;
-            let mut probe_ns = 0u64;
-            for task in ctx.morsels(&task_q) {
-                let _ = rsv_testkit::failpoint!("join.task");
-                let (ir, or) = &parts_ref[task.id];
-                if ir.is_empty() || or.is_empty() {
-                    continue;
-                }
-                ctx.phase("build+probe", || {
-                    let tb = Instant::now();
-                    let buckets = (ir.len() * 2 + 1).max(2);
-                    let mut pairs = vec![EMPTY_PAIR; buckets];
-                    if vectorized {
-                        lp_build_vertical_raw(
-                            s,
-                            &mut pairs,
-                            table_hash,
-                            &ik_ref[ir.clone()],
-                            &ip_ref[ir.clone()],
-                        );
-                    } else {
-                        lp_build_scalar_raw(
-                            &mut pairs,
-                            table_hash,
-                            &ik_ref[ir.clone()],
-                            &ip_ref[ir.clone()],
-                        );
-                    }
-                    build_ns += tb.elapsed().as_nanos() as u64;
-                    let tp = Instant::now();
-                    if vectorized {
-                        lp_probe_vertical_raw(
-                            s,
-                            &pairs,
-                            table_hash,
-                            &ok_ref[or.clone()],
-                            &op_ref[or.clone()],
-                            &mut sink,
-                        );
-                    } else {
-                        lp_probe_scalar_raw(
-                            &pairs,
-                            table_hash,
-                            &ok_ref[or.clone()],
-                            &op_ref[or.clone()],
-                            &mut sink,
-                        );
-                    }
-                    probe_ns += tp.elapsed().as_nanos() as u64;
-                });
+    let task_scope: Result<TaskResults, _> = parallel_scope(threads, |ctx| {
+        let mut sink = JoinSink::with_capacity(1024);
+        let mut build_ns = 0u64;
+        let mut probe_ns = 0u64;
+        for task in ctx.morsels(&task_q) {
+            let _ = rsv_testkit::failpoint!("join.task");
+            let (ir, or) = &parts_ref[task.id];
+            if ir.is_empty() || or.is_empty() {
+                continue;
             }
-            (sink, build_ns, probe_ns)
-        });
+            ctx.phase(|| {
+                let tb = Instant::now();
+                let buckets = (ir.len() * 2 + 1).max(2);
+                let mut pairs = vec![EMPTY_PAIR; buckets];
+                if vectorized {
+                    lp_build_vertical_raw(
+                        s,
+                        &mut pairs,
+                        table_hash,
+                        &ik_ref[ir.clone()],
+                        &ip_ref[ir.clone()],
+                    );
+                } else {
+                    lp_build_scalar_raw(
+                        &mut pairs,
+                        table_hash,
+                        &ik_ref[ir.clone()],
+                        &ip_ref[ir.clone()],
+                    );
+                }
+                build_ns += tb.elapsed().as_nanos() as u64;
+                let tp = Instant::now();
+                if vectorized {
+                    lp_probe_vertical_raw(
+                        s,
+                        &pairs,
+                        table_hash,
+                        &ok_ref[or.clone()],
+                        &op_ref[or.clone()],
+                        &mut sink,
+                    );
+                } else {
+                    lp_probe_scalar_raw(
+                        &pairs,
+                        table_hash,
+                        &ok_ref[or.clone()],
+                        &op_ref[or.clone()],
+                        &mut sink,
+                    );
+                }
+                probe_ns += tp.elapsed().as_nanos() as u64;
+            });
+        }
+        (sink, build_ns, probe_ns)
+    });
     policy.run.budget.release(reserved);
-    let (results, task_stats) = match task_scope {
-        Ok(v) => v,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+    let results = task_scope.map_err(|wp| wp.into_engine_error())?;
     policy.run.check_cancelled()?;
     let build_probe = t0.elapsed();
-    stats.merge(&task_stats);
 
     // Split the build+probe wall time by the workers' accumulated ratios.
     let total_build: u64 = results.iter().map(|r| r.1).sum();
@@ -302,22 +235,19 @@ pub fn join_max_partition_policy_try<S: Simd>(
     let probe = build_probe.saturating_sub(build);
     let sinks = results.into_iter().map(|r| r.0).collect();
 
-    Ok((
-        JoinResult {
-            sinks,
-            timings: JoinTimings {
-                partition,
-                build,
-                probe,
-            },
+    Ok(JoinResult {
+        sinks,
+        timings: JoinTimings {
+            partition,
+            build,
+            probe,
         },
-        stats,
-    ))
+    })
 }
 
 /// One full-relation partitioning pass; returns the partitioned columns,
-/// partition starts and histogram, merging scheduler stats into `stats`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// partition starts and histogram.
+#[allow(clippy::type_complexity)]
 fn partition_relation<S: Simd>(
     s: S,
     vectorized: bool,
@@ -325,13 +255,10 @@ fn partition_relation<S: Simd>(
     keys: &[u32],
     pays: &[u32],
     policy: &ExecPolicy,
-    stats: &mut SchedulerStats,
 ) -> Result<(Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>), EngineError> {
     let mut dk = vec![0u32; keys.len()];
     let mut dp = vec![0u32; pays.len()];
-    let (pass, pass_stats) =
-        partition_pass_policy_try(s, vectorized, f, keys, pays, &mut dk, &mut dp, policy)?;
-    stats.merge(&pass_stats);
+    let pass = partition_pass_parallel(s, vectorized, f, keys, pays, &mut dk, &mut dp, policy)?;
     Ok((dk, dp, pass.partition_starts, pass.hist))
 }
 
@@ -393,33 +320,99 @@ mod tests {
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 3] {
             for vectorized in [false, true] {
-                // small target forces a deep partitioning tree
-                let r = join_max_partition_with_target(s, vectorized, &inner, &outer, threads, 128);
+                let policy = ExecPolicy::new(threads);
+                let r = join_max_partition(s, vectorized, &inner, &outer, &policy).unwrap();
                 assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected);
             }
         }
     }
 
+    /// Runs one metered join, checks it against the reference and returns
+    /// the counters. `JoinPartitionFanout` sums the first-level fanout and
+    /// the fanout of every second-level pass.
+    fn metered_join(
+        s: Portable<16>,
+        vectorized: bool,
+        inner: &Relation,
+        outer: &Relation,
+        threads: usize,
+    ) -> rsv_metrics::Counters {
+        let (expected, n) = reference_fingerprint(inner, outer);
+        let policy = ExecPolicy::new(threads);
+        let (r, sink) = rsv_metrics::collect(|| {
+            join_max_partition(s, vectorized, inner, outer, &policy).unwrap()
+        });
+        assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
+        assert_eq!(
+            r.fingerprint(),
+            expected,
+            "threads={threads} vec={vectorized}"
+        );
+        sink.total()
+    }
+
     #[test]
     fn two_level_partitioning_kicks_in() {
         let s = Portable::<16>::new();
-        // force fanout1 to clamp so second-level passes must run
-        let (inner, outer) = workload(10_000, 20_000, 222);
-        let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join_max_partition_with_target(s, true, &inner, &outer, 2, 16);
-        assert_eq!(r.matches(), n);
-        assert_eq!(r.fingerprint(), expected);
+        // Two heavy keys with more than DEFAULT_PART_TUPLES inner tuples
+        // each, plus unique keys: the first-level parts holding the heavy
+        // keys are oversized, so second-level passes must run.
+        let heavy = DEFAULT_PART_TUPLES + 452;
+        let keys: Vec<u32> = (0..2 * heavy as u32)
+            .map(|i| i % 2)
+            .chain(2..3_000)
+            .collect();
+        let inner = Relation::with_rid_payloads(keys);
+        let outer = Relation::with_rid_payloads((0..3_000).collect());
+        let fanout1 = inner.len().div_ceil(DEFAULT_PART_TUPLES) as u64;
+        for threads in [1usize, 3] {
+            for vectorized in [false, true] {
+                let fanouts = metered_join(s, vectorized, &inner, &outer, threads)
+                    .get(rsv_metrics::Metric::JoinPartitionFanout);
+                assert!(
+                    fanouts > fanout1,
+                    "no second-level pass ({fanouts} <= {fanout1}), threads={threads} vec={vectorized}"
+                );
+            }
+        }
     }
 
     #[test]
     fn duplicate_inner_keys() {
         let s = Portable::<16>::new();
-        let w = rsv_data::join_workload(2_000, 8_000, 5.0, 0.2, &mut rsv_data::rng(223));
-        let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join_max_partition_with_target(s, true, &w.inner, &w.outer, 2, 256);
-        assert_eq!(r.matches(), n);
-        assert_eq!(r.fingerprint(), expected);
+        // Five copies per distinct key and 8 × DEFAULT_PART_TUPLES inner
+        // tuples: first-level parts average exactly the target, so the
+        // larger ones split again, duplicates included.
+        let w = rsv_data::join_workload(
+            8 * DEFAULT_PART_TUPLES,
+            8_000,
+            5.0,
+            0.2,
+            &mut rsv_data::rng(223),
+        );
+        for vectorized in [false, true] {
+            let fanouts = metered_join(s, vectorized, &w.inner, &w.outer, 2)
+                .get(rsv_metrics::Metric::JoinPartitionFanout);
+            assert!(fanouts > 8, "no second-level pass, vec={vectorized}");
+        }
+    }
+
+    #[test]
+    fn first_level_fanout_is_clamped() {
+        let s = Portable::<16>::new();
+        // Above MAX_PASS_FANOUT × DEFAULT_PART_TUPLES inner tuples the first
+        // level clamps to MAX_PASS_FANOUT parts of ~2500 inner tuples (well
+        // above the target), so every part takes a second-level pass and
+        // every tuple is histogrammed twice. Unclamped, only the parts above
+        // their ~2048-tuple average would split.
+        let (inner, outer) = workload(MAX_PASS_FANOUT * 2_500, 20_000, 224);
+        let c = metered_join(s, true, &inner, &outer, 2);
+        assert_eq!(
+            c.get(rsv_metrics::Metric::PartHistTuples),
+            2 * (inner.len() + outer.len()) as u64,
+            "first level not clamped"
+        );
     }
 
     #[test]
@@ -430,24 +423,14 @@ mod tests {
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition_policy_try(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(s, true, &inner, &outer, &policy)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition_policy_try(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(s, true, &inner, &outer, &policy)
             .expect_err("budget must deny the partitioned columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
-    }
-
-    #[test]
-    fn default_target_join() {
-        let s = Portable::<16>::new();
-        let (inner, outer) = workload(5_000, 5_000, 224);
-        let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join_max_partition(s, true, &inner, &outer, 1);
-        assert_eq!(r.matches(), n);
-        assert_eq!(r.fingerprint(), expected);
     }
 }

@@ -2,6 +2,7 @@
 //! each other and with a `HashMap` reference on arbitrary workloads.
 
 use rsv_data::Relation;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{join_max_partition, join_min_partition, join_no_partition};
 use rsv_simd::Backend;
 use rsv_testkit as tk;
@@ -42,17 +43,18 @@ fn all_variants_match_reference() {
         let outer = Relation::with_rid_payloads(outer_keys);
         let (expected_fp, expected_n) = reference(&inner, &outer);
         let backend = Backend::best();
+        let policy = ExecPolicy::new(threads);
         rsv_simd::dispatch!(backend, s => {
             for vectorized in [false, true] {
-                let r = join_no_partition(s, vectorized, &inner, &outer, threads);
+                let r = expect_infallible(join_no_partition(s, vectorized, &inner, &outer, &policy));
                 assert_eq!(r.matches(), expected_n, "no-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let r = join_min_partition(s, vectorized, &inner, &outer, threads);
+                let r = expect_infallible(join_min_partition(s, vectorized, &inner, &outer, &policy));
                 assert_eq!(r.matches(), expected_n, "min-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let r = join_max_partition(s, vectorized, &inner, &outer, threads);
+                let r = expect_infallible(join_max_partition(s, vectorized, &inner, &outer, &policy));
                 assert_eq!(r.matches(), expected_n, "max-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
             }

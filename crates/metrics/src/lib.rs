@@ -12,7 +12,7 @@
 //!   live directly on [`Counters`]),
 //! * [`MetricSink`] — where per-thread counters are absorbed;
 //!   [`NoopSink`] discards everything and [`CountingSink`] accumulates
-//!   per-worker [`Counters`] merged like `rsv_exec::SchedulerStats`,
+//!   per-worker [`Counters`] merged slot by slot in thread-id order,
 //! * [`collect`] / [`collect_with`] — run a closure with metering
 //!   enabled on the current thread (worker threads inherit the flag via
 //!   the scheduler in `rsv-exec`) and harvest the counters.
@@ -421,7 +421,7 @@ impl Default for Counters {
 /// A destination for per-thread counter flushes.
 pub trait MetricSink {
     /// Absorb the counters one worker accumulated. `thread_id` is the
-    /// worker's slot, mirroring `SchedulerStats`' thread-id order.
+    /// worker's slot, in the scheduler's thread-id order.
     fn absorb(&mut self, thread_id: usize, c: &Counters);
 
     /// Whether running under this sink should record at all. The default
@@ -448,10 +448,9 @@ impl MetricSink for NoopSink {
     }
 }
 
-/// Per-thread counters, merged worker-by-worker exactly like
-/// `rsv_exec::SchedulerStats`: slot `i` accumulates everything worker `i`
-/// flushed, and [`CountingSink::merge`] folds another region's sink in by
-/// matching slots.
+/// Per-thread counters, merged worker by worker: slot `i` accumulates
+/// everything worker `i` flushed, and [`CountingSink::merge`] folds
+/// another region's sink in by matching slots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// One entry per worker, in thread-id order.

@@ -21,8 +21,7 @@
 //! which runs after the barrier and therefore after every flush.
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue,
-    SchedulerStats, SharedBuffer, SlotMap,
+    parallel_scope, AlignedVec, EngineError, ExecPolicy, MorselQueue, SharedBuffer, SlotMap,
 };
 use rsv_simd::Simd;
 
@@ -62,9 +61,18 @@ pub struct PassOutput {
     pub hist: Vec<u32>,
 }
 
-/// Run one stable buffered-shuffle partitioning pass with `threads`
-/// workers, writing the partitioned columns into `dst_k`/`dst_p` (which
+/// Run one stable buffered-shuffle partitioning pass on the morsel
+/// scheduler, writing the partitioned columns into `dst_k`/`dst_p` (which
 /// must have the input length).
+///
+/// The output is byte-identical for every `policy.threads` value; it also
+/// does not depend on `policy.morsel_tuples`, because the interleaved
+/// offsets key each morsel's slice to the morsel's *input order*, making
+/// the pass a stable partition of the input regardless of granularity.
+///
+/// Honours `policy.run`'s cancel token at every morsel/task claim and
+/// surfaces worker panics as [`EngineError::WorkerPanicked`]. On error the
+/// output vectors keep their length but hold unspecified contents.
 #[allow(clippy::too_many_arguments)]
 pub fn partition_pass_parallel<S: Simd, F: PartitionFn + Sync>(
     s: S,
@@ -74,50 +82,8 @@ pub fn partition_pass_parallel<S: Simd, F: PartitionFn + Sync>(
     src_p: &[u32],
     dst_k: &mut Vec<u32>,
     dst_p: &mut Vec<u32>,
-    threads: usize,
-) -> PassOutput {
-    let policy = ExecPolicy::new(threads);
-    partition_pass_policy(s, vectorized, f, src_k, src_p, dst_k, dst_p, &policy).0
-}
-
-/// [`partition_pass_parallel`] with explicit morsel scheduling, returning
-/// per-worker scheduler stats alongside the pass output.
-///
-/// The output is byte-identical for every `policy.threads` value; it also
-/// does not depend on `policy.morsel_tuples`, because the interleaved
-/// offsets key each morsel's slice to the morsel's *input order*, making
-/// the pass a stable partition of the input regardless of granularity.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_pass_policy<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
-    f: F,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> (PassOutput, SchedulerStats) {
-    expect_infallible(partition_pass_policy_try(
-        s, vectorized, f, src_k, src_p, dst_k, dst_p, policy,
-    ))
-}
-
-/// Fallible [`partition_pass_policy`]: honours `policy.run`'s cancel token
-/// at every morsel/task claim and surfaces worker panics as
-/// [`EngineError::WorkerPanicked`]. On error the output vectors keep their
-/// length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
-    f: F,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
-    policy: &ExecPolicy,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     assert_eq!(src_k.len(), src_p.len(), "column length mismatch");
     assert_eq!(dst_k.len(), src_k.len(), "output length mismatch");
     assert_eq!(dst_p.len(), src_p.len(), "output length mismatch");
@@ -128,10 +94,10 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     let hist_q = MorselQueue::new(n, policy, S::LANES);
     let m = hist_q.morsel_count();
     let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let scope = parallel_scope_try(t, |ctx| {
+    let scope = parallel_scope(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
             let _ = rsv_testkit::failpoint!("partition.histogram.morsel");
-            let h = ctx.phase("histogram", || {
+            let h = ctx.phase(|| {
                 let ks = &src_k[mo.range.clone()];
                 if vectorized {
                     histogram_vector_replicated(s, f, ks)
@@ -143,10 +109,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
             unsafe { hist_slots.put(mo.id, h) };
         }
     });
-    let mut stats = match scope {
-        Ok((_, stats)) => stats,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+    scope.map_err(|wp| wp.into_engine_error())?;
     // A cancelled pass may have left histogram slots unfilled: bail before
     // reading them.
     policy.run.check_cancelled()?;
@@ -174,12 +137,12 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     // The cleanup queue must share the run's cancel token: a shuffle phase
     // cut short by cancellation leaves staging slots unfilled, and a
     // cancelled claim is what keeps cleanup from reading them.
-    let cleanup_q = MorselQueue::tasks_policy(m, t, policy);
+    let cleanup_q = MorselQueue::tasks(m, policy);
     let staged: SlotMap<(AlignedVec<u64>, Vec<u32>)> = SlotMap::new(m);
     let slots = if vectorized { S::LANES } else { scalar_slots() };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
-    let shuffle_scope = parallel_scope_try(t, |ctx| {
+    let shuffle_scope = parallel_scope(t, |ctx| {
         // SAFETY: morsels write disjoint output regions derived from the
         // interleaved prefix sums; transiently clobbered first lines are
         // repaired by their owning morsels' cleanup, which runs after the
@@ -189,7 +152,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
         let (ok, op) = unsafe { (out_k.view_mut(), out_p.view_mut()) };
         for mo in ctx.morsels(&shuffle_q) {
             let _ = rsv_testkit::failpoint!("partition.shuffle.morsel");
-            ctx.phase("shuffle", || {
+            ctx.phase(|| {
                 let r = mo.range.clone();
                 let mut off = bases[mo.id].clone();
                 let mut buf: AlignedVec<u64> = AlignedVec::zeroed(f.fanout() * slots);
@@ -223,7 +186,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
         }
         ctx.barrier();
         for task in ctx.morsels(&cleanup_q) {
-            ctx.phase("cleanup", || {
+            ctx.phase(|| {
                 // SAFETY: all writers crossed the barrier above; each
                 // cleanup task id is claimed exactly once.
                 let (buf, off) = unsafe { staged.get(task.id) };
@@ -233,10 +196,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     });
     *dst_k = out_k.into_vec();
     *dst_p = out_p.into_vec();
-    match shuffle_scope {
-        Ok((_, shuffle_stats)) => stats.merge(&shuffle_stats),
-        Err(wp) => return Err(wp.into_engine_error()),
-    }
+    shuffle_scope.map_err(|wp| wp.into_engine_error())?;
     policy.run.check_cancelled()?;
 
     let mut partition_starts = Vec::with_capacity(f.fanout());
@@ -245,13 +205,10 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
         partition_starts.push(acc);
         acc += c;
     }
-    Ok((
-        PassOutput {
-            partition_starts,
-            hist,
-        },
-        stats,
-    ))
+    Ok(PassOutput {
+        partition_starts,
+        hist,
+    })
 }
 
 #[cfg(test)]
@@ -281,9 +238,11 @@ mod tests {
             for vectorized in [false, true] {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
+                let policy = ExecPolicy::new(threads);
                 let out = partition_pass_parallel(
-                    s, vectorized, f, &keys, &pays, &mut dk, &mut dp, threads,
-                );
+                    s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy,
+                )
+                .unwrap();
                 // region check + stability within each morsel's slice is
                 // implied; check partition function and global stability
                 for p in 0..f.fanout() {
@@ -319,9 +278,8 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (_, stats) =
-                    partition_pass_policy(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy);
-                assert!(stats.total_tuples() > 0);
+                partition_pass_parallel(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy)
+                    .unwrap();
                 match &reference {
                     None => reference = Some((dk, dp)),
                     Some((rk, rp)) => {

@@ -5,7 +5,7 @@
 //! partition *per morsel*; past a few thousand partitions that working set
 //! evicts the very cache lines buffering was meant to protect (the paper's
 //! own argument for multi-pass partitioning, Section 7.4). Instead of
-//! asserting on a large fanout, [`hash_partition_twopass_try`] splits a
+//! asserting on a large fanout, [`hash_partition_twopass`] splits a
 //! fanout `F > max_direct` into
 //!
 //! * **pass 1**: a stable partition on the *coarse* key
@@ -21,14 +21,11 @@
 //! region orders stably by `p`: the output is **byte-identical** to a
 //! direct `F`-way stable pass, which is what the equivalence tests assert.
 
-use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
-};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
 use rsv_simd::Simd;
 
 use crate::histogram::{histogram_scalar, histogram_vector_replicated};
-use crate::parallel::{partition_pass_policy_try, PassOutput};
+use crate::parallel::{partition_pass_parallel, PassOutput};
 use crate::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
 use crate::{HashFn, PartitionFn};
 
@@ -88,8 +85,12 @@ impl PartitionFn for FineFn {
     }
 }
 
-/// Infallible [`hash_partition_twopass_try`] (for benches and callers
-/// without a [`rsv_exec::RunContext`]).
+/// Stable hash partition that transparently degrades to two passes when
+/// `f.fanout() > max_direct` (`max_direct` must be a power of two). The
+/// output — partitioned columns, histogram, partition starts — is
+/// byte-identical to a direct single-pass run at any fanout; only the
+/// route differs. Honours `policy.run` (cancellation at claim boundaries,
+/// memory budget for the inter-pass scratch columns).
 #[allow(clippy::too_many_arguments)]
 pub fn hash_partition_twopass<S: Simd>(
     s: S,
@@ -101,37 +102,14 @@ pub fn hash_partition_twopass<S: Simd>(
     dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
     max_direct: usize,
-) -> (PassOutput, SchedulerStats) {
-    expect_infallible(hash_partition_twopass_try(
-        s, vectorized, f, src_k, src_p, dst_k, dst_p, policy, max_direct,
-    ))
-}
-
-/// Stable hash partition that transparently degrades to two passes when
-/// `f.fanout() > max_direct` (`max_direct` must be a power of two). The
-/// output — partitioned columns, histogram, partition starts — is
-/// byte-identical to a direct single-pass run at any fanout; only the
-/// route differs. Honours `policy.run` (cancellation at claim boundaries,
-/// memory budget for the inter-pass scratch columns).
-#[allow(clippy::too_many_arguments)]
-pub fn hash_partition_twopass_try<S: Simd>(
-    s: S,
-    vectorized: bool,
-    f: HashFn,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
-    policy: &ExecPolicy,
-    max_direct: usize,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     assert!(
         max_direct.is_power_of_two(),
         "max_direct must be a power of two"
     );
     let fanout = f.fanout();
     if fanout <= max_direct {
-        return partition_pass_policy_try(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy);
+        return partition_pass_parallel(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy);
     }
     let n = src_k.len();
     let t = policy.threads;
@@ -149,10 +127,10 @@ pub fn hash_partition_twopass_try<S: Simd>(
     policy.run.reserve(scratch_bytes)?;
     let mut mid_k = vec![0u32; n];
     let mut mid_p = vec![0u32; n];
-    let coarse_result = partition_pass_policy_try(
+    let coarse_result = partition_pass_parallel(
         s, vectorized, coarse, src_k, src_p, &mut mid_k, &mut mid_p, policy,
     );
-    let (coarse_out, mut stats) = match coarse_result {
+    let coarse_out = match coarse_result {
         Ok(v) => v,
         Err(e) => {
             policy.run.budget.release(scratch_bytes);
@@ -164,11 +142,11 @@ pub fn hash_partition_twopass_try<S: Simd>(
     // on the fine key and shuffles it — stably — into the region's slice
     // of the final output. Regions are disjoint in both columns, so tasks
     // never overlap.
-    let q = MorselQueue::tasks_policy(regions, t, policy);
+    let q = MorselQueue::tasks(regions, policy);
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let global_hist = SharedBuffer::from_vec(vec![0u32; fanout]);
-    let scope = parallel_scope_try(t, |ctx| {
+    let scope = parallel_scope(t, |ctx| {
         // SAFETY: task `r` touches only output tuples in coarse region
         // `r`'s range and histogram entries in `r`'s partition-index
         // range; both are disjoint across tasks, and every task id is
@@ -176,7 +154,7 @@ pub fn hash_partition_twopass_try<S: Simd>(
         let (ok, op, gh) = unsafe { (out_k.view_mut(), out_p.view_mut(), global_hist.view_mut()) };
         for task in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.twopass.region");
-            ctx.phase("fine", || {
+            ctx.phase(|| {
                 let r = task.id;
                 let start = coarse_out.partition_starts[r] as usize;
                 let len = coarse_out.hist[r] as usize;
@@ -210,10 +188,7 @@ pub fn hash_partition_twopass_try<S: Simd>(
     drop(mid_k);
     drop(mid_p);
     policy.run.budget.release(scratch_bytes);
-    match scope {
-        Ok((_, fine_stats)) => stats.merge(&fine_stats),
-        Err(wp) => return Err(wp.into_engine_error()),
-    }
+    scope.map_err(|wp| wp.into_engine_error())?;
     policy.run.check_cancelled()?;
 
     let hist = global_hist.into_vec();
@@ -223,13 +198,10 @@ pub fn hash_partition_twopass_try<S: Simd>(
         partition_starts.push(acc);
         acc += c;
     }
-    Ok((
-        PassOutput {
-            partition_starts,
-            hist,
-        },
-        stats,
-    ))
+    Ok(PassOutput {
+        partition_starts,
+        hist,
+    })
 }
 
 #[cfg(test)]
@@ -253,21 +225,21 @@ mod tests {
             let mut rk = vec![0u32; keys.len()];
             let mut rp = vec![0u32; keys.len()];
             let policy = ExecPolicy::new(1);
-            let (reference, _) = crate::parallel::partition_pass_policy(
-                s, vectorized, f, &keys, &pays, &mut rk, &mut rp, &policy,
-            );
+            let reference =
+                partition_pass_parallel(s, vectorized, f, &keys, &pays, &mut rk, &mut rp, &policy)
+                    .unwrap();
             for threads in [1usize, 2, 8] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(1024);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (out, stats) = hash_partition_twopass(
+                let out = hash_partition_twopass(
                     s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy, 16,
-                );
+                )
+                .unwrap();
                 assert_eq!(dk, rk, "keys differ (t={threads} vec={vectorized})");
                 assert_eq!(dp, rp, "pays differ (t={threads} vec={vectorized})");
                 assert_eq!(out.hist, reference.hist);
                 assert_eq!(out.partition_starts, reference.partition_starts);
-                assert!(stats.total_tuples() > 0);
             }
         }
     }
@@ -283,8 +255,8 @@ mod tests {
         let policy = ExecPolicy::new(2);
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
-        let (out, _) =
-            hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16);
+        let out = hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+            .unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
@@ -301,9 +273,8 @@ mod tests {
         let policy = ExecPolicy::new(2).with_run(run);
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err =
-            hash_partition_twopass_try(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
-                .expect_err("budget must deny the scratch columns");
+        let err = hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+            .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         // nothing stays reserved after the failure
         assert_eq!(policy.run.budget.used(), 0);

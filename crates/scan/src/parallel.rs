@@ -8,10 +8,7 @@
 //! front-to-back *in morsel order*, so the qualifier list is exactly the
 //! sequential scan's output for every thread count and morsel size.
 
-use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
-};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
 use rsv_simd::Backend;
 
 use crate::{scan, ScanPredicate, ScanVariant};
@@ -20,7 +17,10 @@ use crate::{scan, ScanPredicate, ScanVariant};
 ///
 /// `out_keys` / `out_pays` must have the input length; qualifiers end up
 /// at their front (input order preserved) and the qualifier count is
-/// returned alongside per-worker scheduler stats.
+/// returned. Honours `policy.run`'s cancel token (checked at every morsel
+/// claim) and surfaces worker panics as [`EngineError::WorkerPanicked`].
+/// On error the output vectors keep their length but hold unspecified
+/// contents.
 #[allow(clippy::too_many_arguments)]
 pub fn scan_parallel(
     backend: Backend,
@@ -31,27 +31,7 @@ pub fn scan_parallel(
     out_keys: &mut Vec<u32>,
     out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> (usize, SchedulerStats) {
-    expect_infallible(scan_parallel_try(
-        backend, variant, keys, pays, pred, out_keys, out_pays, policy,
-    ))
-}
-
-/// Fallible [`scan_parallel`]: honours `policy.run`'s cancel token (checked
-/// at every morsel claim) and surfaces worker panics as
-/// [`EngineError::WorkerPanicked`]. On error the output vectors keep their
-/// length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_parallel_try(
-    backend: Backend,
-    variant: ScanVariant,
-    keys: &[u32],
-    pays: &[u32],
-    pred: ScanPredicate,
-    out_keys: &mut Vec<u32>,
-    out_pays: &mut Vec<u32>,
-    policy: &ExecPolicy,
-) -> Result<(usize, SchedulerStats), EngineError> {
+) -> Result<usize, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
     assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
@@ -63,14 +43,14 @@ pub fn scan_parallel_try(
     let counts = SharedBuffer::from_vec(vec![0usize; m]);
     let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
     let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let scope = parallel_scope_try(t, |ctx| {
+    let scope = parallel_scope(t, |ctx| {
         // SAFETY: each morsel writes only the output region at its own
         // input offsets plus its own count slot, and every morsel id is
         // claimed exactly once; reads happen after the scope joins.
         let (ok, op, cs) = unsafe { (ok_buf.view_mut(), op_buf.view_mut(), counts.view_mut()) };
         for mo in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("scan.morsel");
-            ctx.phase("scan", || {
+            ctx.phase(|| {
                 let r = mo.range.clone();
                 let c = scan(
                     backend,
@@ -94,13 +74,10 @@ pub fn scan_parallel_try(
         *out_keys = ok;
         *out_pays = op;
     };
-    let stats = match scope {
-        Ok((_, stats)) => stats,
-        Err(wp) => {
-            restore(ok, op, out_keys, out_pays);
-            return Err(wp.into_engine_error());
-        }
-    };
+    if let Err(wp) = scope {
+        restore(ok, op, out_keys, out_pays);
+        return Err(wp.into_engine_error());
+    }
     if policy.run.is_cancelled() {
         restore(ok, op, out_keys, out_pays);
         return Err(EngineError::Cancelled);
@@ -119,7 +96,7 @@ pub fn scan_parallel_try(
         dest += c;
     }
     restore(ok, op, out_keys, out_pays);
-    Ok((dest, stats))
+    Ok(dest)
 }
 
 #[cfg(test)]
@@ -150,13 +127,13 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut gk = vec![0u32; n];
                 let mut gp = vec![0u32; n];
-                let (got_n, stats) = scan_parallel(
+                let got_n = scan_parallel(
                     backend, variant, &keys, &pays, pred, &mut gk, &mut gp, &policy,
-                );
+                )
+                .unwrap();
                 assert_eq!(got_n, expect_n, "t={threads} morsel={morsel}");
                 assert_eq!(&gk[..got_n], &ek[..expect_n]);
                 assert_eq!(&gp[..got_n], &ep[..expect_n]);
-                assert_eq!(stats.total_tuples(), n as u64);
             }
         }
     }
@@ -166,7 +143,7 @@ mod tests {
         let policy = ExecPolicy::new(4);
         let mut ok = vec![];
         let mut op = vec![];
-        let (n, _) = scan_parallel(
+        let n = scan_parallel(
             Backend::best(),
             ScanVariant::ScalarBranchless,
             &[],
@@ -175,7 +152,8 @@ mod tests {
             &mut ok,
             &mut op,
             &policy,
-        );
+        )
+        .unwrap();
         assert_eq!(n, 0);
     }
 }

@@ -10,8 +10,10 @@
 //! stable and keyed by morsel input order, the sorted output is
 //! byte-identical for any thread count and morsel size.
 //!
-//! * [`lsb_radixsort_scalar`] / [`lsb_radixsort_vector`] — key + one
-//!   payload column (the Figure 14 workload), any thread count,
+//! * [`radixsort_pairs`] — key + one payload column under a
+//!   [`RunContext`], the one fallible entry point,
+//! * [`lsb_radixsort_scalar`] / [`lsb_radixsort_vector`] — its infallible
+//!   Figure 14 kernels, any thread count,
 //! * [`lsb_radixsort_keys_scalar`] / [`lsb_radixsort_keys_vector`] —
 //!   key-only sorting,
 //! * [`multicol::lsb_radixsort_multicol`] — key + arbitrary payload
@@ -24,11 +26,11 @@ pub mod diff;
 pub mod multicol;
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_stats, EngineError, ExecPolicy, MorselQueue, RunContext,
-    SchedulerStats, SharedBuffer, SlotMap, DEFAULT_MORSEL_TUPLES,
+    expect_infallible, parallel_scope, EngineError, ExecPolicy, MorselQueue, RunContext,
+    SharedBuffer, SlotMap, DEFAULT_MORSEL_TUPLES,
 };
 use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated};
-use rsv_partition::parallel::{interleaved_offsets, partition_pass_policy_try};
+use rsv_partition::parallel::{interleaved_offsets, partition_pass_parallel};
 use rsv_partition::shuffle::scalar_slots;
 use rsv_partition::{PartitionFn, RadixFn};
 use rsv_simd::Simd;
@@ -75,42 +77,24 @@ impl SortConfig {
     }
 }
 
-fn radixsort_pairs<S: Simd>(
-    s: S,
-    vectorized: bool,
-    keys: &mut Vec<u32>,
-    pays: &mut Vec<u32>,
-    cfg: &SortConfig,
-) -> SchedulerStats {
-    expect_infallible(radixsort_pairs_try(
-        s,
-        vectorized,
-        keys,
-        pays,
-        cfg,
-        &RunContext::default(),
-    ))
-}
-
-/// Fallible radixsort of `(key, payload)` pairs under a [`RunContext`]:
+/// Parallel LSB radixsort of `(key, payload)` pairs under a [`RunContext`]:
 /// cancellation is observed at morsel-claim boundaries of every pass,
 /// worker panics surface as [`EngineError::WorkerPanicked`], and the
 /// ping-pong scratch columns are gated by the run's memory budget. On
 /// error the columns keep their length but hold unspecified tuple order.
-pub fn radixsort_pairs_try<S: Simd>(
+pub fn radixsort_pairs<S: Simd>(
     s: S,
     vectorized: bool,
     keys: &mut Vec<u32>,
     pays: &mut Vec<u32>,
     cfg: &SortConfig,
     run: &RunContext,
-) -> Result<SchedulerStats, EngineError> {
+) -> Result<(), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     let n = keys.len();
     let policy = cfg.policy().with_run(run.clone());
     let scratch_bytes = 2 * (n as u64) * std::mem::size_of::<u32>() as u64;
     run.reserve(scratch_bytes)?;
-    let mut stats = SchedulerStats::default();
     let mut src_k = std::mem::take(keys);
     let mut src_p = std::mem::take(pays);
     let mut dst_k = vec![0u32; n];
@@ -120,14 +104,12 @@ pub fn radixsort_pairs_try<S: Simd>(
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
-        match partition_pass_policy_try(
+        result = partition_pass_parallel(
             s, vectorized, f, &src_k, &src_p, &mut dst_k, &mut dst_p, &policy,
-        ) {
-            Ok((_, pass_stats)) => stats.merge(&pass_stats),
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
+        )
+        .map(|_| ());
+        if result.is_err() {
+            break;
         }
         std::mem::swap(&mut src_k, &mut dst_k);
         std::mem::swap(&mut src_p, &mut dst_p);
@@ -139,12 +121,20 @@ pub fn radixsort_pairs_try<S: Simd>(
     drop(dst_k);
     drop(dst_p);
     run.budget.release(scratch_bytes);
-    result.map(|()| stats)
+    result
 }
 
 /// Scalar parallel LSB radixsort of `(key, payload)` pairs (stable).
 pub fn lsb_radixsort_scalar(keys: &mut Vec<u32>, pays: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_pairs(rsv_simd::Portable::<16>::new(), false, keys, pays, cfg);
+    let s = rsv_simd::Portable::<16>::new();
+    expect_infallible(radixsort_pairs(
+        s,
+        false,
+        keys,
+        pays,
+        cfg,
+        &RunContext::new(),
+    ));
 }
 
 /// Vectorized parallel LSB radixsort of `(key, payload)` pairs (stable).
@@ -154,22 +144,18 @@ pub fn lsb_radixsort_vector<S: Simd>(
     pays: &mut Vec<u32>,
     cfg: &SortConfig,
 ) {
-    radixsort_pairs(s, true, keys, pays, cfg);
-}
-
-/// [`lsb_radixsort_vector`], returning per-worker scheduler stats
-/// accumulated over every radix pass.
-pub fn lsb_radixsort_vector_stats<S: Simd>(
-    s: S,
-    keys: &mut Vec<u32>,
-    pays: &mut Vec<u32>,
-    cfg: &SortConfig,
-) -> SchedulerStats {
-    radixsort_pairs(s, true, keys, pays, cfg)
+    expect_infallible(radixsort_pairs(
+        s,
+        true,
+        keys,
+        pays,
+        cfg,
+        &RunContext::new(),
+    ));
 }
 
 /// One parallel stable partitioning pass of a key column only, morselized
-/// exactly like [`rsv_partition::parallel::partition_pass_policy`]: per-
+/// exactly like [`rsv_partition::parallel::partition_pass_parallel`]: per-
 /// morsel histograms and staging buffers keyed by morsel id, interleaved
 /// offsets in morsel (= input) order, and a barrier before the per-morsel
 /// cleanup tasks.
@@ -180,16 +166,16 @@ fn pass_keys<S: Simd>(
     src_k: &[u32],
     dst_k: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> SchedulerStats {
+) -> Result<(), EngineError> {
     let n = src_k.len();
     let t = policy.threads;
 
     let hist_q = MorselQueue::new(n, policy, S::LANES);
     let m = hist_q.morsel_count();
     let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let (_, mut stats) = parallel_scope_stats(t, |ctx| {
+    parallel_scope(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
-            let h = ctx.phase("histogram", || {
+            let h = ctx.phase(|| {
                 let ks = &src_k[mo.range.clone()];
                 if vectorized {
                     histogram_vector_replicated(s, f, ks)
@@ -200,7 +186,8 @@ fn pass_keys<S: Simd>(
             // SAFETY: each morsel id is claimed exactly once.
             unsafe { hist_slots.put(mo.id, h) };
         }
-    });
+    })
+    .map_err(|wp| wp.into_engine_error())?;
     let mut hists: Vec<Vec<u32>> = hist_slots
         .into_values()
         .into_iter()
@@ -213,18 +200,18 @@ fn pass_keys<S: Simd>(
     let bases = interleaved_offsets(&hists);
 
     let shuffle_q = MorselQueue::new(n, policy, S::LANES);
-    let cleanup_q = MorselQueue::tasks(m, t);
+    let cleanup_q = MorselQueue::tasks(m, policy);
     let staged: SlotMap<(Vec<u32>, Vec<u32>)> = SlotMap::new(m);
     let slots = if vectorized { S::LANES } else { scalar_slots() };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
-    let (_, shuffle_stats) = parallel_scope_stats(t, |ctx| {
+    let shuffle_scope = parallel_scope(t, |ctx| {
         // SAFETY: morsels write disjoint regions from the interleaved
         // prefix sums; transiently clobbered first lines are repaired by
         // their owning morsels' cleanup after the barrier (see the safety
-        // note on `partition_pass_policy`).
+        // note on `partition_pass_parallel`).
         let ok = unsafe { out_k.view_mut() };
         for mo in ctx.morsels(&shuffle_q) {
-            ctx.phase("shuffle", || {
+            ctx.phase(|| {
                 let mut off = bases[mo.id].clone();
                 let mut buf = vec![0u32; f.fanout() * slots];
                 keys_buffered_core(
@@ -242,16 +229,16 @@ fn pass_keys<S: Simd>(
         }
         ctx.barrier();
         for task in ctx.morsels(&cleanup_q) {
-            ctx.phase("cleanup", || {
+            ctx.phase(|| {
                 // SAFETY: all writers crossed the barrier above.
                 let (buf, off) = unsafe { staged.get(task.id) };
                 keys_buffer_cleanup(slots, buf, &bases[task.id], off, ok);
             });
         }
     });
-    stats.merge(&shuffle_stats);
     *dst_k = out_k.into_vec();
-    stats
+    shuffle_scope.map_err(|wp| wp.into_engine_error())?;
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -354,31 +341,35 @@ fn radixsort_keys<S: Simd>(
     vectorized: bool,
     keys: &mut Vec<u32>,
     cfg: &SortConfig,
-) -> SchedulerStats {
+) -> Result<(), EngineError> {
     let n = keys.len();
     let policy = cfg.policy();
-    let mut stats = SchedulerStats::default();
     let mut src = std::mem::take(keys);
     let mut dst = vec![0u32; n];
+    let mut result = Ok(());
     for pass in 0..cfg.passes() {
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
-        stats.merge(&pass_keys(s, vectorized, f, &src, &mut dst, &policy));
+        result = pass_keys(s, vectorized, f, &src, &mut dst, &policy);
+        if result.is_err() {
+            break;
+        }
         std::mem::swap(&mut src, &mut dst);
     }
     *keys = src;
-    stats
+    result
 }
 
 /// Scalar parallel LSB radixsort of a key column.
 pub fn lsb_radixsort_keys_scalar(keys: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_keys(rsv_simd::Portable::<16>::new(), false, keys, cfg);
+    let s = rsv_simd::Portable::<16>::new();
+    expect_infallible(radixsort_keys(s, false, keys, cfg));
 }
 
 /// Vectorized parallel LSB radixsort of a key column.
 pub fn lsb_radixsort_keys_vector<S: Simd>(s: S, keys: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_keys(s, true, keys, cfg);
+    expect_infallible(radixsort_keys(s, true, keys, cfg));
 }
 
 #[cfg(test)]
@@ -537,13 +528,13 @@ mod tests {
             threads: 4,
             morsel_tuples: 1024,
         };
-        let err = radixsort_pairs_try(s, true, &mut k, &mut p, &cfg, &run)
+        let err = radixsort_pairs(s, true, &mut k, &mut p, &cfg, &run)
             .expect_err("pre-cancelled run must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(k.len(), keys.len());
         assert_eq!(p.len(), pays.len());
         // the engine is immediately reusable with a fresh context
-        radixsort_pairs_try(s, true, &mut k, &mut p, &cfg, &RunContext::new())
+        radixsort_pairs(s, true, &mut k, &mut p, &cfg, &RunContext::new())
             .expect("fresh run must succeed");
         let mut expect = keys.clone();
         expect.sort_unstable();
@@ -563,7 +554,7 @@ mod tests {
             threads: 2,
             morsel_tuples: DEFAULT_MORSEL_TUPLES,
         };
-        let err = radixsort_pairs_try(s, true, &mut keys, &mut pays, &cfg, &run)
+        let err = radixsort_pairs(s, true, &mut keys, &mut pays, &cfg, &run)
             .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(run.budget.used(), 0);
@@ -571,7 +562,7 @@ mod tests {
     }
 
     /// Sorted output must be byte-identical for any thread count and
-    /// morsel size, and the stats must account for every scheduled tuple.
+    /// morsel size.
     #[test]
     fn sort_schedule_independent() {
         let s = Portable::<16>::new();
@@ -586,11 +577,7 @@ mod tests {
                 };
                 let mut k = keys.clone();
                 let mut p = pays.clone();
-                let stats = lsb_radixsort_vector_stats(s, &mut k, &mut p, &cfg);
-                // 4 passes at 8 bits, each scheduling every tuple through
-                // the histogram and shuffle queues (cleanup tasks add a
-                // few more scheduling units on top)
-                assert!(stats.total_tuples() >= 4 * 2 * keys.len() as u64);
+                lsb_radixsort_vector(s, &mut k, &mut p, &cfg);
                 match &reference {
                     None => reference = Some((k, p)),
                     Some((rk, rp)) => {
@@ -599,7 +586,7 @@ mod tests {
                     }
                 }
                 let mut ko = keys.clone();
-                radixsort_keys(s, true, &mut ko, &cfg);
+                radixsort_keys(s, true, &mut ko, &cfg).unwrap();
                 let r = reference.as_ref().unwrap();
                 let mut expect = r.0.clone();
                 expect.sort_unstable();
