@@ -25,7 +25,7 @@ const MAX_LANES: usize = 32;
 pub const MAX_FUNCTIONS: usize = 8;
 
 /// A blocked-free (classic, bit-per-hash) Bloom filter over 32-bit keys.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     words: Vec<u32>,
     nbits: u32,
@@ -41,7 +41,7 @@ impl BloomFilter {
             (1..=MAX_FUNCTIONS).contains(&k),
             "1..={MAX_FUNCTIONS} hash functions supported"
         );
-        let nbits = (items.max(1) * bits_per_item).next_multiple_of(32).max(64);
+        let nbits = 8 * Self::size_bytes_for(items, bits_per_item);
         assert!(
             nbits <= u32::MAX as usize,
             "filter too large for 32-bit bit indexes"
@@ -72,6 +72,26 @@ impl BloomFilter {
     /// Size of the bit array in bytes (the paper's x-axis in Figure 10).
     pub fn size_bytes(&self) -> usize {
         self.words.len() * 4
+    }
+
+    /// [`BloomFilter::size_bytes`] of `BloomFilter::new(items,
+    /// bits_per_item, _)`, known before allocating it.
+    pub fn size_bytes_for(items: usize, bits_per_item: usize) -> usize {
+        (items.max(1) * bits_per_item).next_multiple_of(32).max(64) / 8
+    }
+
+    /// Set every bit that is set in `other` (a filter of the same shape),
+    /// so keys inserted into either test positive. Filters built over
+    /// disjoint chunks of a key column and merged this way hold exactly
+    /// the words of one filter built over the whole column.
+    pub fn union_with(&mut self, other: &BloomFilter) {
+        assert!(
+            self.nbits == other.nbits && self.factors == other.factors,
+            "union of differently shaped Bloom filters"
+        );
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
     }
 
     /// The `j`-th bit position for `key`: multiplicative hash into `[0, nbits)`.
@@ -349,6 +369,21 @@ mod tests {
                 rsv_data::multiset_fingerprint(vk[..nv].iter().zip(&vp[..nv]))
             );
         }
+    }
+
+    #[test]
+    fn union_of_chunk_filters_equals_one_build() {
+        let keys = rsv_data::unique_u32(3_000, &mut rsv_data::rng(55));
+        let mut whole = BloomFilter::new(keys.len(), 10, 5);
+        whole.build(&keys);
+        let mut merged = BloomFilter::new(keys.len(), 10, 5);
+        for chunk in keys.chunks(700) {
+            let mut part = BloomFilter::new(keys.len(), 10, 5);
+            part.build(chunk);
+            merged.union_with(&part);
+        }
+        assert_eq!(merged, whole);
+        assert_eq!(whole.size_bytes(), BloomFilter::size_bytes_for(3_000, 10));
     }
 
     #[test]

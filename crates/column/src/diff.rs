@@ -78,20 +78,15 @@ fn run_select_variant(backend: Backend, variant: ScanVariant, input: &CaseInput)
 fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     let rel = rsv_data::Relation::new(input.keys.clone(), input.pays.clone());
     let c = CompressedRelation::compress_with(backend, &rel);
-    let n = rel.len();
-    let mut ok = vec![0u32; n];
-    let mut op = vec![0u32; n];
-    let count = expect_infallible(select_fused_parallel(
+    let (ok, op) = expect_infallible(select_fused_parallel(
         backend,
         ScanVariant::VectorSelStoreIndirect,
         &c.keys,
         &c.payloads,
         pred(input),
-        &mut ok,
-        &mut op,
         &ExecPolicy::new(threads),
     ));
-    ordered_pairs(&ok[..count], &op[..count])
+    ordered_pairs(&ok, &op)
 }
 
 fn histogram_reference(input: &CaseInput) -> Vec<u8> {

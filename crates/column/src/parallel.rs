@@ -3,11 +3,13 @@
 //! Both entry points snap interior morsel boundaries to [`BLOCK_LEN`], so
 //! every morsel starts on a block boundary and no block is split across
 //! workers — each morsel decodes its blocks independently. Results are
-//! schedule-independent: the fused scan compacts per-morsel qualifier
-//! runs in morsel order (identical to the sequential scan's output), and
-//! the histogram merges per-worker counts by commutative addition.
+//! schedule-independent: the fused scan's per-morsel qualifier runs are
+//! concatenated in morsel order into exact-size columns
+//! ([`rsv_exec::filter_morsels`]; identical to the sequential scan's
+//! output), and the histogram merges per-worker counts by commutative
+//! addition.
 
-use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
+use rsv_exec::{filter_morsels, parallel_scope, EngineError, ExecPolicy, MorselQueue};
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{Backend, Simd};
@@ -16,91 +18,35 @@ use crate::{
     histogram_fused_range_into, reduce_partial, select_fused_range, CompressedColumn, BLOCK_LEN,
 };
 
-/// Parallel fused compressed selection scan.
+/// Parallel fused compressed selection scan; returns the qualifying
+/// `(keys, payloads)` in input order, each column exactly as long as the
+/// qualifier count.
 ///
-/// `out_keys` / `out_pays` must have the column length; qualifiers end up
-/// at their front (input order preserved) and the qualifier count is
-/// returned. Output matches the sequential
-/// [`select_fused`](crate::select_fused) byte for byte at any thread
-/// count. A worker panic surfaces as [`EngineError::WorkerPanicked`] and
-/// a cancelled run as [`EngineError::Cancelled`]; the output vectors then
-/// keep their length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
+/// Decoding is the expensive part, so every block is decoded once: each
+/// worker scans a morsel into morsel-sized scratch and keeps only the
+/// qualifiers, which are then copied in parallel into the exact output
+/// ([`rsv_exec::filter_morsels`], which also holds the scratch, run
+/// buffers and output against `policy.run`'s budget). Output matches the
+/// sequential [`select_fused`](crate::select_fused) byte for byte at any
+/// thread count. A worker panic surfaces as
+/// [`EngineError::WorkerPanicked`], a cancelled run as
+/// [`EngineError::Cancelled`] and a denied reservation as
+/// [`EngineError::BudgetExceeded`].
 pub fn select_fused_parallel(
     backend: Backend,
     variant: ScanVariant,
     keys: &CompressedColumn,
     pays: &CompressedColumn,
     pred: ScanPredicate,
-    out_keys: &mut Vec<u32>,
-    out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<usize, EngineError> {
+) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
-    assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
-    let n = keys.len();
-    let t = policy.threads;
-
     // Block-aligned morsels: every morsel starts at a multiple of
     // BLOCK_LEN, which select_fused_range requires.
-    let q = MorselQueue::new(n, policy, BLOCK_LEN);
-    let m = q.morsel_count();
-    let counts = SharedBuffer::from_vec(vec![0usize; m]);
-    let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
-    let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let scope = parallel_scope(t, |ctx| {
-        // SAFETY: each morsel writes only the output region at its own
-        // input offsets plus its own count slot, and every morsel id is
-        // claimed exactly once; reads happen after the scope joins.
-        let (ok, op, cs) = unsafe { (ok_buf.view_mut(), op_buf.view_mut(), counts.view_mut()) };
-        for mo in ctx.morsels(&q) {
-            ctx.phase(|| {
-                let r = mo.range.clone();
-                let c = select_fused_range(
-                    backend,
-                    variant,
-                    keys,
-                    pays,
-                    pred,
-                    r.clone(),
-                    &mut ok[r.clone()],
-                    &mut op[r],
-                );
-                cs[mo.id] = c;
-            });
-        }
-    });
-
-    let counts = counts.into_vec();
-    let mut ok = ok_buf.into_vec();
-    let mut op = op_buf.into_vec();
-    let err = match scope {
-        Err(wp) => Some(wp.into_engine_error()),
-        Ok(_) if policy.run.is_cancelled() => Some(EngineError::Cancelled),
-        Ok(_) => None,
-    };
-    if let Some(e) = err {
-        *out_keys = ok;
-        *out_pays = op;
-        return Err(e);
-    }
-
-    // Compact the per-morsel runs front-to-back. Runs only move left
-    // (dest ≤ src), so processing in morsel order never clobbers a run
-    // that has not been moved yet.
-    let mut dest = 0usize;
-    for (id, &c) in counts.iter().enumerate() {
-        let src = q.range_of(id).start;
-        if src != dest {
-            ok.copy_within(src..src + c, dest);
-            op.copy_within(src..src + c, dest);
-        }
-        dest += c;
-    }
-    *out_keys = ok;
-    *out_pays = op;
-    Ok(dest)
+    let q = MorselQueue::new(keys.len(), policy, BLOCK_LEN);
+    filter_morsels(&q, policy, |rows, ok, op| {
+        select_fused_range(backend, variant, keys, pays, pred, rows, ok, op)
+    })
 }
 
 /// Parallel fused compressed histogram: per-worker replicated partial
@@ -167,15 +113,10 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             for morsel in [700usize, 4 * BLOCK_LEN, usize::MAX] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                let mut gk = vec![0u32; n];
-                let mut gp = vec![0u32; n];
-                let gn = select_fused_parallel(
-                    backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy,
-                )
-                .unwrap();
-                assert_eq!(gn, en, "t={threads} morsel={morsel}");
-                assert_eq!(&gk[..gn], &ek[..en]);
-                assert_eq!(&gp[..gn], &ep[..en]);
+                let (gk, gp) =
+                    select_fused_parallel(backend, variant, &ck, &cp, pred, &policy).unwrap();
+                assert_eq!(gk, &ek[..en], "t={threads} morsel={morsel}");
+                assert_eq!(gp, &ep[..en], "t={threads} morsel={morsel}");
             }
         }
     }
@@ -210,20 +151,16 @@ mod tests {
             lower: 0,
             upper: u32::MAX,
         };
-        let (mut ok, mut op) = (vec![0u32; n], vec![0u32; n]);
         let err = select_fused_parallel(
             backend,
             ScanVariant::VectorSelStoreIndirect,
             &col,
             &col,
             pred,
-            &mut ok,
-            &mut op,
             &policy,
         )
         .expect_err("cancelled scan must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
-        assert_eq!((ok.len(), op.len()), (n, n), "outputs keep their length");
         let err = histogram_fused_parallel(backend, &col, RadixFn::new(0, 4), &policy)
             .expect_err("cancelled histogram must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");

@@ -83,11 +83,8 @@ fn parallel_select_small() {
     let mut ep = vec![0u32; n];
     let e = select_fused(backend, variant, &ck, &cp, pred, &mut ek, &mut ep);
     let policy = ExecPolicy::new(2).with_morsel_tuples(BLOCK_LEN);
-    let mut gk = vec![0u32; n];
-    let mut gp = vec![0u32; n];
-    let g = select_fused_parallel(backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy)
-        .expect("no worker panics");
-    assert_eq!(g, e);
-    assert_eq!(&gk[..g], &ek[..e]);
-    assert_eq!(&gp[..g], &ep[..e]);
+    let (gk, gp) =
+        select_fused_parallel(backend, variant, &ck, &cp, pred, &policy).expect("no worker panics");
+    assert_eq!(gk, &ek[..e]);
+    assert_eq!(gp, &ep[..e]);
 }

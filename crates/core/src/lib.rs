@@ -45,13 +45,19 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    expect_infallible, parallel_scope, ExecPolicy, MorselQueue, SharedBuffer, DEFAULT_MORSEL_TUPLES,
+    chunk_ranges, expect_infallible, filter_morsels, parallel_scope, ExecPolicy, MorselQueue,
+    SharedBuffer, WorkerPanic, DEFAULT_MORSEL_TUPLES,
 };
 use rsv_hashtab::GroupAggTable;
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::dispatch;
+
+/// Bloom semi-join filter shape: the paper's 10 bits per key and 5 hash
+/// functions (§6).
+const SEMIJOIN_BITS_PER_KEY: usize = 10;
+const SEMIJOIN_FUNCTIONS: usize = 5;
 
 /// A vectorized in-memory query engine over 32-bit key/payload columns.
 ///
@@ -132,12 +138,14 @@ impl Engine {
         expect_infallible(self.try_select(rel, lower, upper, &RunContext::new()))
     }
 
-    /// Fallible [`Engine::select`] under a [`RunContext`]: the output
-    /// buffers are gated by the run's memory budget, cancellation is
-    /// observed at morsel-claim boundaries (so the latency from
-    /// [`CancelToken::cancel`] to return is bounded by one morsel), and a
-    /// worker panic surfaces as [`EngineError::WorkerPanicked`] instead of
-    /// unwinding through the caller.
+    /// Fallible [`Engine::select`] under a [`RunContext`]. The scan
+    /// counts each morsel's qualifiers, then writes them straight into
+    /// exact-size output columns ([`rsv_scan::scan_parallel`]), which are
+    /// gated by the run's memory budget. Cancellation is observed at
+    /// morsel-claim boundaries (so the latency from [`CancelToken::cancel`]
+    /// to return is bounded by one morsel), and a worker panic surfaces as
+    /// [`EngineError::WorkerPanicked`] instead of unwinding through the
+    /// caller.
     pub fn try_select(
         &self,
         rel: &Relation,
@@ -145,26 +153,14 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let pred = ScanPredicate { lower, upper };
-        let out_bytes = 2 * (rel.len() as u64) * std::mem::size_of::<u32>() as u64;
-        run.reserve(out_bytes)?;
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let r = rsv_scan::scan_parallel(
+        let (keys, pays) = rsv_scan::scan_parallel(
             self.backend,
-            ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
             &rel.payloads,
-            pred,
-            &mut out_keys,
-            &mut out_pays,
+            ScanPredicate { lower, upper },
             &self.policy_with(run),
-        );
-        run.budget.release(out_bytes);
-        let n = r?;
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Ok(Relation::new(out_keys, out_pays))
+        )?;
+        Ok(Relation::new(keys, pays))
     }
 
     /// Compress a relation's columns (FOR + bit-packing, block directory)
@@ -187,10 +183,13 @@ impl Engine {
         expect_infallible(self.try_select_compressed(rel, lower, upper, &RunContext::new()))
     }
 
-    /// Fallible [`Engine::select_compressed`] under a [`RunContext`]: the
-    /// output buffers are gated by the run's memory budget, cancellation
-    /// is observed at morsel-claim boundaries, and a worker panic surfaces
-    /// as [`EngineError::WorkerPanicked`].
+    /// Fallible [`Engine::select_compressed`] under a [`RunContext`].
+    /// Each block is decoded once: workers keep each morsel's qualifiers
+    /// in their own run buffers, which are then copied in parallel into
+    /// exact-size output columns ([`rsv_column::select_fused_parallel`]).
+    /// The scratch, run buffers and output are gated by the run's memory
+    /// budget, cancellation is observed at morsel-claim boundaries, and a
+    /// worker panic surfaces as [`EngineError::WorkerPanicked`].
     pub fn try_select_compressed(
         &self,
         rel: &CompressedRelation,
@@ -198,26 +197,15 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let pred = ScanPredicate { lower, upper };
-        let out_bytes = 2 * (rel.len() as u64) * std::mem::size_of::<u32>() as u64;
-        run.reserve(out_bytes)?;
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let r = rsv_column::select_fused_parallel(
+        let (keys, pays) = rsv_column::select_fused_parallel(
             self.backend,
             ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
             &rel.payloads,
-            pred,
-            &mut out_keys,
-            &mut out_pays,
+            ScanPredicate { lower, upper },
             &self.policy_with(run),
-        );
-        run.budget.release(out_bytes);
-        let n = r?;
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Ok(Relation::new(out_keys, out_pays))
+        )?;
+        Ok(Relation::new(keys, pays))
     }
 
     /// Hash join `inner ⋈ outer` on the key columns using the paper's
@@ -282,83 +270,80 @@ impl Engine {
         expect_infallible(self.try_bloom_semijoin(rel, filter_keys, &RunContext::new()))
     }
 
-    /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
-    /// three input-sized scratch columns (positions, qualifier keys and
-    /// qualifier positions) are gated by the memory budget, cancellation
-    /// is observed at morsel-claim boundaries, and a worker panic surfaces
-    /// as [`EngineError::WorkerPanicked`].
+    /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`].
+    ///
+    /// 1. **build** — each worker inserts a contiguous chunk of
+    ///    `filter_keys` into a private filter, and the filters are
+    ///    OR-merged (the same words as a serial build);
+    /// 2. **probe** — each morsel is probed with the paper's vertical
+    ///    kernel, taking each row's offset in its morsel as the payload.
+    ///    The kernel retires qualifiers out of input order, so a per-morsel
+    ///    bitmap over the returned offsets restores it and the worker
+    ///    gathers key and payload in order;
+    /// 3. **concat** — the per-worker runs are copied in parallel into
+    ///    exact-size output columns ([`rsv_exec::filter_morsels`]).
+    ///
+    /// The filters, the offset column, the probe scratch, the run buffers
+    /// and the output are gated by the memory budget and released on every
+    /// path, cancellation is observed at morsel-claim boundaries, and a
+    /// worker panic surfaces as [`EngineError::WorkerPanicked`].
     pub fn try_bloom_semijoin(
         &self,
         rel: &Relation,
         filter_keys: &[u32],
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let n = rel.len();
-        let scratch_bytes = 3 * (n as u64) * std::mem::size_of::<u32>() as u64;
-        run.reserve(scratch_bytes)?;
-        let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
-        filter.build(filter_keys);
-        let q = MorselQueue::new(n, &self.policy_with(run), 16);
-        let m = q.morsel_count();
-        let positions: Vec<u32> = (0..n as u32).collect();
-        let counts = SharedBuffer::from_vec(vec![0usize; m]);
-        let ok_buf = SharedBuffer::from_vec(vec![0u32; n]);
-        let oi_buf = SharedBuffer::from_vec(vec![0u32; n]);
-        let filter_ref = &filter;
-        let scope = parallel_scope(self.threads, |ctx| {
-            // SAFETY: each morsel writes only the output region at its own
-            // input offsets plus its own count slot; reads happen after
-            // the scope joins.
-            let (ok, oi, cs) = unsafe { (ok_buf.view_mut(), oi_buf.view_mut(), counts.view_mut()) };
-            for mo in ctx.morsels(&q) {
-                ctx.phase(|| {
-                    let r = mo.range.clone();
-                    // probe with the input *position* as the payload: the
-                    // vectorized probe recirculates partially-checked
-                    // lanes and so emits qualifiers out of input order —
-                    // the positions let us restore it below.
-                    cs[mo.id] = dispatch!(self.backend, s => {
-                        filter_ref.probe_vector(
-                            s,
-                            &rel.keys[r.clone()],
-                            &positions[r.clone()],
-                            &mut ok[r.clone()],
-                            &mut oi[r],
-                        )
-                    });
-                });
+        run.check_cancelled()?;
+        let filter_bytes =
+            self.threads * BloomFilter::size_bytes_for(filter_keys.len(), SEMIJOIN_BITS_PER_KEY);
+        let _filters = run.budget.hold(filter_bytes as u64)?;
+        let filter = self.build_filter(filter_keys)?;
+        let policy = self.policy_with(run);
+        let q = MorselQueue::new(rel.len(), &policy, 16);
+        let _offsets = run.budget.hold(4 * q.max_morsel_len() as u64)?;
+        let offsets: Vec<u32> = (0..q.max_morsel_len() as u32).collect();
+        let (keys, pays) = filter_morsels(&q, &policy, |rows, ok, op| {
+            let c = dispatch!(self.backend, s => {
+                filter.probe_vector(s, &rel.keys[rows.clone()], &offsets[..rows.len()], ok, op)
+            });
+            // Restore input order: mark the qualifying offsets, then
+            // gather key and payload in offset order.
+            let mut marks = vec![0u64; rows.len().div_ceil(64)];
+            for &o in &op[..c] {
+                marks[o as usize / 64] |= 1 << (o % 64);
             }
+            let mut j = 0;
+            for (w, &word) in marks.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let row = rows.start + 64 * w + bits.trailing_zeros() as usize;
+                    ok[j] = rel.keys[row];
+                    op[j] = rel.payloads[row];
+                    j += 1;
+                    bits &= bits - 1;
+                }
+            }
+            c
+        })?;
+        Ok(Relation::new(keys, pays))
+    }
+
+    /// The semi-join's filter over `keys`, built by one private filter per
+    /// worker over a contiguous chunk of `keys` and OR-merged into the
+    /// first.
+    fn build_filter(&self, keys: &[u32]) -> Result<BloomFilter, EngineError> {
+        let chunks = chunk_ranges(keys.len(), self.threads, 1);
+        let filters = parallel_scope(self.threads, |ctx| {
+            let mut f = BloomFilter::new(keys.len(), SEMIJOIN_BITS_PER_KEY, SEMIJOIN_FUNCTIONS);
+            ctx.phase(|| f.build(&keys[chunks[ctx.thread_id].clone()]));
+            f
+        })
+        .map_err(WorkerPanic::into_engine_error)?;
+        let merged = filters.into_iter().reduce(|mut a, b| {
+            a.union_with(&b);
+            a
         });
-        let counts = counts.into_vec();
-        let mut idxs = oi_buf.into_vec();
-        drop(ok_buf);
-        drop(positions);
-        let probed = scope
-            .map_err(|wp| wp.into_engine_error())
-            .and_then(|_| run.check_cancelled());
-        if let Err(e) = probed {
-            run.budget.release(scratch_bytes);
-            return Err(e);
-        }
-        // Compact the per-morsel qualifier runs in morsel order (runs only
-        // move left, so front-to-back copies never clobber a pending run).
-        let mut dest = 0usize;
-        for (id, &c) in counts.iter().enumerate() {
-            let src = q.range_of(id).start;
-            if src != dest {
-                idxs.copy_within(src..src + c, dest);
-            }
-            dest += c;
-        }
-        idxs.truncate(dest);
-        // Restore strict input order: positions are unique, so the sorted
-        // qualifier set — and therefore the output — is byte-identical
-        // for every thread count and morsel size.
-        idxs.sort_unstable();
-        let out_keys: Vec<u32> = idxs.iter().map(|&i| rel.keys[i as usize]).collect();
-        let out_pays: Vec<u32> = idxs.iter().map(|&i| rel.payloads[i as usize]).collect();
-        run.budget.release(scratch_bytes);
-        Ok(Relation::new(out_keys, out_pays))
+        Ok(merged.expect("a scope has at least one worker"))
     }
 
     /// Stable LSB radixsort by key (paper §8).
@@ -651,6 +636,57 @@ mod tests {
         assert!(out.len() < 1_000 + 200);
         let kept: std::collections::HashSet<u32> = out.keys.iter().copied().collect();
         assert!(present.iter().all(|k| kept.contains(k)));
+    }
+
+    /// Every morsel boundary is a multiple of 16, so rows `16i` and
+    /// `16i + 15` are the first and last rows of morsels; the last 7 rows
+    /// fall in the probe's scalar tail. All of them qualify.
+    #[test]
+    fn bloom_semijoin_keeps_input_order_exactly() {
+        let mut rng = rsv_data::rng(307);
+        let pool = rsv_data::unique_u32(8_000, &mut rng);
+        let (present, absent) = pool.split_at(2_000);
+        let n = 5_007;
+        let keys: Vec<u32> = (0..n)
+            .map(|i| {
+                let edge = i % 16 == 0 || i % 16 == 15 || i >= n - 7;
+                if edge || i % 5 == 0 {
+                    present[i % present.len()]
+                } else {
+                    absent[i % absent.len()]
+                }
+            })
+            .collect();
+        let rel = Relation::with_rid_payloads(keys);
+        let mut filter = BloomFilter::new(present.len(), SEMIJOIN_BITS_PER_KEY, SEMIJOIN_FUNCTIONS);
+        filter.build(present);
+        let (mut ek, mut ep) = (vec![0u32; n], vec![0u32; n]);
+        let c = filter.probe_scalar(&rel.keys, &rel.payloads, &mut ek, &mut ep);
+        ek.truncate(c);
+        ep.truncate(c);
+        let expected = Relation::new(ek, ep);
+        for b in Backend::all_available() {
+            for threads in [1usize, 2, 8] {
+                for morsel in [64usize, 1_000, DEFAULT_MORSEL_TUPLES] {
+                    let e = Engine::with_backend(b)
+                        .with_threads(threads)
+                        .with_morsel_tuples(morsel);
+                    let got = e.bloom_semijoin(&rel, present);
+                    assert_eq!(got, expected, "{} t={threads} morsel={morsel}", b.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_filter_build_matches_serial() {
+        let keys = rsv_data::unique_u32(10_001, &mut rsv_data::rng(308));
+        let mut serial = BloomFilter::new(keys.len(), SEMIJOIN_BITS_PER_KEY, SEMIJOIN_FUNCTIONS);
+        serial.build(&keys);
+        for threads in [1usize, 2, 8] {
+            let built = Engine::new().with_threads(threads).build_filter(&keys);
+            assert_eq!(built.unwrap(), serial, "t={threads}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use rsv_core::hashtab::{FallbackTable, GroupAggTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
-use rsv_core::{CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext};
+use rsv_core::{BloomFilter, CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext};
 
 fn rel(n: usize) -> Relation {
     // Unique keys (join variants assume a key relation on the inner
@@ -248,6 +248,54 @@ fn budget_exceeded_is_typed_and_releases_everything() {
         .try_select(&outer, 0, u32::MAX, &run)
         .expect("generous budget");
     assert_eq!(selected.len(), outer.len());
+    assert_eq!(run.budget.used(), 0, "success path leaked reservation");
+}
+
+/// `try_select` holds only its exact output (8 B per qualifier), not an
+/// input-sized buffer: at 1% selectivity a budget of exactly the output —
+/// a hundredth of 8 B per input row — succeeds, and one byte less fails.
+#[test]
+fn select_budget_is_the_exact_output() {
+    let engine = Engine::new().with_threads(2).with_morsel_tuples(1_000);
+    let r = Relation::with_rid_payloads((0..100_000u32).collect());
+    let (lo, hi) = (5_000u32, 5_999u32);
+    let out_bytes = 8 * 1_000;
+    let run = RunContext::new().with_memory_limit(out_bytes);
+    let out = engine
+        .try_select(&r, lo, hi, &run)
+        .expect("the exact output fits");
+    assert_eq!(out.keys, (lo..=hi).collect::<Vec<u32>>());
+    assert_eq!(run.budget.used(), 0, "success path leaked reservation");
+    let run = RunContext::new().with_memory_limit(out_bytes - 1);
+    let result = engine.try_select(&r, lo, hi, &run);
+    assert!(
+        matches!(result, Err(EngineError::BudgetExceeded { .. })),
+        "expected BudgetExceeded, got {result:?}"
+    );
+    assert_eq!(run.budget.used(), 0, "leaked reservation after failure");
+}
+
+/// The Bloom semi-join first holds one filter per worker (10 bits per
+/// filter key each): a budget one byte short of them fails typed and
+/// leaves nothing reserved; a budget that fits answers exactly.
+#[test]
+fn bloom_semijoin_budget_covers_the_filters() {
+    let engine = Engine::new().with_threads(2);
+    let inner = rel(4_000);
+    let outer = rel(16_000);
+    let filters = 2 * BloomFilter::size_bytes_for(inner.len(), 10) as u64;
+    let run = RunContext::new().with_memory_limit(filters - 1);
+    let result = engine.try_bloom_semijoin(&outer, &inner.keys, &run);
+    assert!(
+        matches!(result, Err(EngineError::BudgetExceeded { .. })),
+        "expected BudgetExceeded, got {result:?}"
+    );
+    assert_eq!(run.budget.used(), 0, "leaked reservation after failure");
+    let run = RunContext::new().with_memory_limit(64 << 20);
+    let out = engine
+        .try_bloom_semijoin(&outer, &inner.keys, &run)
+        .expect("generous budget");
+    assert_eq!(out, engine.bloom_semijoin(&outer, &inner.keys));
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 

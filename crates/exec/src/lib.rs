@@ -8,8 +8,10 @@
 //! into SIMD-aligned morsels that workers claim from per-worker atomic
 //! cursors, stealing when their own span runs dry. It also provides the
 //! 64-byte aligned buffers the buffered-shuffling and streaming-store code
-//! paths need. Per-worker instrumentation (morsels claimed and stolen,
-//! phase latencies) goes to `rsv-metrics` through [`Morsels`] and
+//! paths need, and [`filter_morsels`], which gathers a filter's
+//! per-morsel qualifiers into exact-size output columns in parallel.
+//! Per-worker instrumentation (morsels claimed and stolen, phase
+//! latencies) goes to `rsv-metrics` through [`Morsels`] and
 //! [`ParallelContext::phase`].
 
 #![deny(missing_docs)]
@@ -25,6 +27,7 @@ mod morsel;
 mod parallel;
 mod platform;
 mod run;
+mod runs;
 mod shared;
 mod timing;
 
@@ -33,6 +36,7 @@ pub use error::{expect_infallible, panic_message, EngineError};
 pub use morsel::{ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
 pub use parallel::{chunk_ranges, parallel_scope, Morsels, ParallelContext, WorkerPanic};
 pub use platform::{platform_report, PlatformReport};
-pub use run::{CancelToken, MemoryBudget, RunContext};
+pub use run::{CancelToken, MemoryBudget, Reservation, RunContext};
+pub use runs::filter_morsels;
 pub use shared::{SharedBuffer, SlotMap};
 pub use timing::{throughput_mtps, time, time_n, Timed};

@@ -200,6 +200,16 @@ impl MorselQueue {
         self.bounds[id]..self.bounds[id + 1]
     }
 
+    /// Tuples in the largest morsel (0 for an empty queue): the size of a
+    /// per-worker scratch buffer that fits any morsel.
+    pub fn max_morsel_len(&self) -> usize {
+        self.bounds
+            .windows(2)
+            .map(|b| b[1] - b[0])
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Claim the next morsel for `worker`: own span first, then steal from
     /// the other workers in round-robin order. Returns `None` once every
     /// span is drained (cursors only grow, so `None` is final) **or the

@@ -132,6 +132,20 @@ impl MemoryBudget {
         }
     }
 
+    /// Reserve `bytes` as a [`Reservation`] that returns them when it is
+    /// dropped, so every exit path — including an unwinding worker —
+    /// releases what it held. Holding 0 bytes reserves nothing and
+    /// cannot fail.
+    pub fn hold(&self, bytes: u64) -> Result<Reservation, EngineError> {
+        if bytes > 0 {
+            self.reserve(bytes)?;
+        }
+        Ok(Reservation {
+            budget: self.clone(),
+            bytes,
+        })
+    }
+
     /// Bytes currently reserved (0 for an unlimited budget).
     pub fn used(&self) -> u64 {
         self.state
@@ -142,6 +156,29 @@ impl MemoryBudget {
     /// The limit in bytes, if any.
     pub fn limit(&self) -> Option<u64> {
         self.state.as_ref().map(|s| s.limit)
+    }
+}
+
+/// Bytes held against a [`MemoryBudget`] (see [`MemoryBudget::hold`]);
+/// released on drop.
+#[derive(Debug)]
+pub struct Reservation {
+    budget: MemoryBudget,
+    bytes: u64,
+}
+
+impl Reservation {
+    /// Hold `bytes` more; on failure the reservation is unchanged.
+    pub fn grow(&mut self, bytes: u64) -> Result<(), EngineError> {
+        self.budget.reserve(bytes)?;
+        self.bytes += bytes;
+        Ok(())
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.budget.release(self.bytes);
     }
 }
 
@@ -253,5 +290,17 @@ mod tests {
         assert_eq!(b.used(), 0);
         b.reserve(10).unwrap();
         assert_eq!(b.used(), 10);
+    }
+
+    #[test]
+    fn reservation_releases_on_drop() {
+        let b = MemoryBudget::bytes(10);
+        let mut held = b.hold(4).unwrap();
+        held.grow(6).unwrap();
+        assert!(held.grow(1).is_err());
+        assert!(b.hold(1).is_err());
+        assert_eq!(b.used(), 10);
+        drop(held);
+        assert_eq!(b.used(), 0);
     }
 }

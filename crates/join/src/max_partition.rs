@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer, SlotMap};
 use rsv_hashtab::{
     lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_scalar_raw, lp_probe_vertical_raw,
     JoinSink, MulHash, EMPTY_PAIR,
@@ -109,46 +109,64 @@ pub fn join_max_partition<S: Simd>(
     }
     if !second.is_empty() {
         // Split the oversized parts in place (ping to scratch and back),
-        // distributing parts among threads.
-        let scratch_bytes =
-            2 * (ik.len().max(ok_.len()) as u64) * std::mem::size_of::<u32>() as u64;
+        // one part per stealable task. Parts are disjoint ranges of the
+        // four columns, so tasks write them concurrently; each worker's
+        // scratch grows to the largest part it splits.
+        let largest = second
+            .iter()
+            .map(|&(p, _)| ihist[p].max(ohist[p]) as usize)
+            .max()
+            .unwrap_or(0);
+        let scratch_bytes = 2 * ((threads * largest) as u64) * std::mem::size_of::<u32>() as u64;
         if let Err(e) = policy.run.reserve(scratch_bytes) {
             bail!(e);
         }
         reserved += scratch_bytes;
-        let mut sk = vec![0u32; ik.len().max(ok_.len())];
-        let mut sp = vec![0u32; ik.len().max(ok_.len())];
-        for &(p, sub_fanout) in &second {
-            if let Err(e) = policy.run.check_cancelled() {
-                bail!(e);
+        let cols = [ik, ip, ok_, op].map(SharedBuffer::from_vec);
+        let splits: SlotMap<[Vec<u32>; 4]> = SlotMap::new(second.len());
+        let split_q = MorselQueue::tasks(second.len(), policy);
+        let split_scope = parallel_scope(threads, |ctx| {
+            let (mut sk, mut sp) = (Vec::new(), Vec::new());
+            for task in ctx.morsels(&split_q) {
+                let (p, sub_fanout) = second[task.id];
+                rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, sub_fanout as u64);
+                let f2 = HashFn::with_factor(sub_fanout, f2_factor);
+                let ir = istarts[p] as usize..istarts[p] as usize + ihist[p] as usize;
+                let or = ostarts[p] as usize..ostarts[p] as usize + ohist[p] as usize;
+                let need = ir.len().max(or.len());
+                if sk.len() < need {
+                    sk.resize(need, 0);
+                    sp.resize(need, 0);
+                }
+                // SAFETY: task `p` reads and writes only its own part's
+                // ranges `ir` / `or` of the columns and fills only its own
+                // slot; every task is claimed once, and the columns and
+                // slots are read only after the scope joins.
+                let [ik, ip, ok_, op] = cols.each_ref().map(|c| unsafe { c.view_mut() });
+                ctx.phase(|| {
+                    let (ib, ih) = subpartition(s, vectorized, f2, ik, ip, ir, &mut sk, &mut sp);
+                    let (ob, oh) = subpartition(s, vectorized, f2, ok_, op, or, &mut sk, &mut sp);
+                    // SAFETY: see above; slot `task.id` is this task's own.
+                    unsafe { splits.put(task.id, [ib, ih, ob, oh]) };
+                });
             }
-            rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, sub_fanout as u64);
-            let f2 = HashFn::with_factor(sub_fanout, f2_factor);
-            let ir = istarts[p] as usize..istarts[p] as usize + ihist[p] as usize;
-            let or = ostarts[p] as usize..ostarts[p] as usize + ohist[p] as usize;
-            let (ib, ih) = subpartition(
-                s,
-                vectorized,
-                f2,
-                &mut ik,
-                &mut ip,
-                ir.clone(),
-                &mut sk,
-                &mut sp,
-            );
-            let (ob, oh) = subpartition(
-                s,
-                vectorized,
-                f2,
-                &mut ok_,
-                &mut op,
-                or.clone(),
-                &mut sk,
-                &mut sp,
-            );
+        });
+        [ik, ip, ok_, op] = cols.map(SharedBuffer::into_vec);
+        if let Err(e) = split_scope
+            .map_err(|wp| wp.into_engine_error())
+            .and_then(|_| policy.run.check_cancelled())
+        {
+            bail!(e);
+        }
+        // Sub-parts in the order of their first-level parts.
+        for (&(p, sub_fanout), split) in second.iter().zip(splits.into_values()) {
+            let Some([ib, ih, ob, oh]) = split else {
+                unreachable!("every split task ran")
+            };
+            let (is, os) = (istarts[p] as usize, ostarts[p] as usize);
             for q in 0..sub_fanout {
-                let isub = ir.start + ib[q] as usize..ir.start + ib[q] as usize + ih[q] as usize;
-                let osub = or.start + ob[q] as usize..or.start + ob[q] as usize + oh[q] as usize;
+                let isub = is + ib[q] as usize..is + ib[q] as usize + ih[q] as usize;
+                let osub = os + ob[q] as usize..os + ob[q] as usize + oh[q] as usize;
                 parts.push((isub, osub));
             }
         }

@@ -41,20 +41,14 @@ fn reference(input: &CaseInput) -> Vec<u8> {
 }
 
 fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let n = input.keys.len();
-    let mut ok = vec![0u32; n];
-    let mut op = vec![0u32; n];
-    let c = expect_infallible(scan_parallel(
+    let (ok, op) = expect_infallible(scan_parallel(
         backend,
-        ScanVariant::VectorSelStoreIndirect,
         &input.keys,
         &input.pays,
         pred(input),
-        &mut ok,
-        &mut op,
         &ExecPolicy::new(threads),
     ));
-    ordered_pairs(&ok[..c], &op[..c])
+    ordered_pairs(&ok, &op)
 }
 
 macro_rules! variant_kernel {

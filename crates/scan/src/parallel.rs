@@ -1,102 +1,105 @@
-//! Morsel-driven parallel selection scan.
+//! Morsel-driven parallel selection scan, written once at exact size.
 //!
-//! Each worker claims SIMD-aligned morsels from a work-stealing queue
-//! ([`rsv_exec::MorselQueue`]) and scans its morsel into the output
-//! buffer region starting at the morsel's own input offset — disjoint
-//! across morsels because a morsel never produces more qualifiers than it
-//! has tuples. After the scan, the per-morsel result runs are compacted
-//! front-to-back *in morsel order*, so the qualifier list is exactly the
-//! sequential scan's output for every thread count and morsel size.
+//! A range predicate is cheap next to materialization, so the scan runs in
+//! two passes over the same morsels (a [`rsv_exec::MorselQueue`] per
+//! pass, identical boundaries):
+//!
+//! 1. **count** — each morsel's qualifiers are counted from the keys
+//!    alone;
+//! 2. **write** — a prefix sum over the counts gives every morsel its
+//!    offset in exact-size output columns, and the scan kernel writes the
+//!    morsel's qualifiers straight into that slice.
+//!
+//! Qualifiers are therefore in input order — exactly the sequential scan's
+//! output for every thread count and morsel size — with no input-sized
+//! buffer and no serial pass over the output.
 
-use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
+use rsv_exec::{parallel_scope, EngineError, ExecPolicy, MorselQueue, SharedBuffer, WorkerPanic};
 use rsv_simd::Backend;
 
+use crate::vector::count_vector;
 use crate::{scan, ScanPredicate, ScanVariant};
 
-/// Parallel selection scan with morsel-driven scheduling.
+/// Parallel selection scan with morsel-driven scheduling; returns the
+/// qualifying `(keys, payloads)` in input order, each column exactly as
+/// long as the qualifier count.
 ///
-/// `out_keys` / `out_pays` must have the input length; qualifiers end up
-/// at their front (input order preserved) and the qualifier count is
-/// returned. Honours `policy.run`'s cancel token (checked at every morsel
-/// claim) and surfaces worker panics as [`EngineError::WorkerPanicked`].
-/// On error the output vectors keep their length but hold unspecified
-/// contents.
-#[allow(clippy::too_many_arguments)]
+/// The write pass runs Algorithm 3
+/// ([`ScanVariant::VectorSelStoreIndirect`]), which writes nothing past
+/// the qualifier count and so fits each morsel's exact slice (the
+/// branchless scalar scan, for one, needs a slot per input row).
+///
+/// The output columns are held against `policy.run`'s memory budget while
+/// they are written. Honours `policy.run`'s cancel token (checked at every
+/// morsel claim of both passes) and surfaces worker panics as
+/// [`EngineError::WorkerPanicked`].
 pub fn scan_parallel(
     backend: Backend,
-    variant: ScanVariant,
     keys: &[u32],
     pays: &[u32],
     pred: ScanPredicate,
-    out_keys: &mut Vec<u32>,
-    out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<usize, EngineError> {
+) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
-    assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
     let n = keys.len();
     let t = policy.threads;
 
     let q = MorselQueue::new(n, policy, 16);
-    let m = q.morsel_count();
-    let counts = SharedBuffer::from_vec(vec![0usize; m]);
-    let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
-    let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let scope = parallel_scope(t, |ctx| {
-        // SAFETY: each morsel writes only the output region at its own
-        // input offsets plus its own count slot, and every morsel id is
-        // claimed exactly once; reads happen after the scope joins.
-        let (ok, op, cs) = unsafe { (ok_buf.view_mut(), op_buf.view_mut(), counts.view_mut()) };
+    let counts = SharedBuffer::zeroed(q.morsel_count());
+    parallel_scope(t, |ctx| {
+        // SAFETY: each morsel writes only its own count slot, and every
+        // morsel id is claimed exactly once; reads happen after the join.
+        let cs = unsafe { counts.view_mut() };
+        for mo in ctx.morsels(&q) {
+            ctx.phase(|| {
+                cs[mo.id] = rsv_simd::dispatch!(backend, s => {
+                    count_vector(s, &keys[mo.range], pred)
+                });
+            });
+        }
+    })
+    .map_err(WorkerPanic::into_engine_error)?;
+    policy.run.check_cancelled()?;
+
+    // starts[id]..starts[id + 1] is morsel `id`'s output slice.
+    let mut starts = vec![0usize];
+    for c in counts.into_vec() {
+        starts.push(starts[starts.len() - 1] + c);
+    }
+    let total = starts[starts.len() - 1];
+    let _out = policy
+        .run
+        .budget
+        .hold(2 * (total * std::mem::size_of::<u32>()) as u64)?;
+    let ok = SharedBuffer::zeroed(total);
+    let op = SharedBuffer::zeroed(total);
+    let q = MorselQueue::new(n, policy, 16);
+    parallel_scope(t, |ctx| {
+        // SAFETY: each morsel writes only its own slice
+        // `starts[id]..starts[id + 1]`, and every morsel id is claimed
+        // exactly once; reads happen after the scope joins.
+        let (ok, op) = unsafe { (ok.view_mut(), op.view_mut()) };
         for mo in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("scan.morsel");
             ctx.phase(|| {
-                let r = mo.range.clone();
+                let r = mo.range;
+                let out = starts[mo.id]..starts[mo.id + 1];
                 let c = scan(
                     backend,
-                    variant,
+                    ScanVariant::VectorSelStoreIndirect,
                     &keys[r.clone()],
-                    &pays[r.clone()],
+                    &pays[r],
                     pred,
-                    &mut ok[r.clone()],
-                    &mut op[r],
+                    &mut ok[out.clone()],
+                    &mut op[out.clone()],
                 );
-                cs[mo.id] = c;
+                assert_eq!(c, out.len(), "scan and count passes disagree");
             });
         }
-    });
-    // Hand the (possibly partial) buffers back before any early return so
-    // the caller's vectors keep their length.
-    let counts = counts.into_vec();
-    let mut ok = ok_buf.into_vec();
-    let mut op = op_buf.into_vec();
-    let restore = |ok: Vec<u32>, op: Vec<u32>, out_keys: &mut Vec<u32>, out_pays: &mut Vec<u32>| {
-        *out_keys = ok;
-        *out_pays = op;
-    };
-    if let Err(wp) = scope {
-        restore(ok, op, out_keys, out_pays);
-        return Err(wp.into_engine_error());
-    }
-    if policy.run.is_cancelled() {
-        restore(ok, op, out_keys, out_pays);
-        return Err(EngineError::Cancelled);
-    }
-
-    // Compact the per-morsel runs front-to-back. Runs only move left
-    // (dest ≤ src), so processing in morsel order never clobbers a run
-    // that has not been moved yet.
-    let mut dest = 0usize;
-    for (id, &c) in counts.iter().enumerate() {
-        let src = q.range_of(id).start;
-        if src != dest {
-            ok.copy_within(src..src + c, dest);
-            op.copy_within(src..src + c, dest);
-        }
-        dest += c;
-    }
-    restore(ok, op, out_keys, out_pays);
-    Ok(dest)
+    })
+    .map_err(WorkerPanic::into_engine_error)?;
+    policy.run.check_cancelled()?;
+    Ok((ok.into_vec(), op.into_vec()))
 }
 
 #[cfg(test)]
@@ -118,22 +121,23 @@ mod tests {
             upper: 4_000,
         };
         let backend = Backend::best();
-        let variant = ScanVariant::VectorSelStoreIndirect;
         let mut ek = vec![0u32; n];
         let mut ep = vec![0u32; n];
-        let expect_n = scan(backend, variant, &keys, &pays, pred, &mut ek, &mut ep);
+        let expect_n = scan(
+            backend,
+            ScanVariant::ScalarBranching,
+            &keys,
+            &pays,
+            pred,
+            &mut ek,
+            &mut ep,
+        );
         for threads in [1usize, 2, 3, 8] {
             for morsel in [1_000usize, 16 * 1024, usize::MAX] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                let mut gk = vec![0u32; n];
-                let mut gp = vec![0u32; n];
-                let got_n = scan_parallel(
-                    backend, variant, &keys, &pays, pred, &mut gk, &mut gp, &policy,
-                )
-                .unwrap();
-                assert_eq!(got_n, expect_n, "t={threads} morsel={morsel}");
-                assert_eq!(&gk[..got_n], &ek[..expect_n]);
-                assert_eq!(&gp[..got_n], &ep[..expect_n]);
+                let (gk, gp) = scan_parallel(backend, &keys, &pays, pred, &policy).unwrap();
+                assert_eq!(gk, &ek[..expect_n], "t={threads} morsel={morsel}");
+                assert_eq!(gp, &ep[..expect_n], "t={threads} morsel={morsel}");
             }
         }
     }
@@ -141,19 +145,30 @@ mod tests {
     #[test]
     fn parallel_scan_empty_input() {
         let policy = ExecPolicy::new(4);
-        let mut ok = vec![];
-        let mut op = vec![];
-        let n = scan_parallel(
+        let (ok, op) = scan_parallel(
             Backend::best(),
-            ScanVariant::ScalarBranchless,
             &[],
             &[],
             ScanPredicate { lower: 0, upper: 1 },
-            &mut ok,
-            &mut op,
             &policy,
         )
         .unwrap();
-        assert_eq!(n, 0);
+        assert!(ok.is_empty() && op.is_empty());
+    }
+
+    #[test]
+    fn count_pass_matches_every_tail_length() {
+        let pred = ScanPredicate {
+            lower: 3,
+            upper: 11,
+        };
+        for backend in Backend::all_available() {
+            for n in [0usize, 1, 15, 16, 17, 33, 100] {
+                let keys: Vec<u32> = (0..n as u32).map(|i| i * 7 % 19).collect();
+                let expected = keys.iter().filter(|&&k| pred.matches(k)).count();
+                let got = rsv_simd::dispatch!(backend, s => { count_vector(s, &keys, pred) });
+                assert_eq!(got, expected, "{} n={n}", backend.name());
+            }
+        }
     }
 }

@@ -227,6 +227,24 @@ pub fn scan_vector_selstore_indirect<S: Simd>(
     )
 }
 
+/// Count the qualifiers without materializing them: reads the keys only
+/// and records no scan metrics (the materializing scan that follows does).
+pub(crate) fn count_vector<S: Simd>(s: S, keys: &[u32], pred: ScanPredicate) -> usize {
+    s.vectorize(
+        #[inline(always)]
+        || {
+            let lower = s.splat(pred.lower);
+            let upper = s.splat(pred.upper);
+            let words = keys.chunks_exact(S::LANES);
+            let tail = words.remainder();
+            let full: usize = words
+                .map(|w| predicate_mask(s, s.load(w), lower, upper).count())
+                .sum();
+            full + tail.iter().filter(|&&k| pred.matches(k)).count()
+        },
+    )
+}
+
 /// Flush `count` buffered indexes: gather the actual keys and payloads and
 /// write them to the output with streaming stores.
 #[inline(always)]
